@@ -12,6 +12,8 @@
 #include <mutex>
 #include <sstream>
 
+#include <unistd.h>
+
 using namespace exo;
 using namespace exo::backend;
 using namespace exo::ir;
@@ -73,21 +75,31 @@ bool detail::usesAmxSim(const std::string &Source) {
   return Source.find("amx_sim.h") != std::string::npos;
 }
 
-std::string detail::compileCommand(const std::string &Compiler,
-                                   const std::string &Flags,
-                                   const std::string &Src,
-                                   const std::string &Out,
-                                   const std::string &SourceText,
-                                   const std::string &ErrPath) {
+Expected<std::string> detail::compileCommand(const std::string &Compiler,
+                                             const std::string &Flags,
+                                             const std::string &Src,
+                                             const std::string &Out,
+                                             const std::string &SourceText,
+                                             const std::string &ErrPath) {
   std::string Cmd = (Compiler.empty() ? "cc" : Compiler) + " " + Flags +
                     " -o " + Out + " " + Src +
                     " -I " EXO_SOURCE_DIR "/src/hwlibs/avx512/runtime"
                     " -I " EXO_SOURCE_DIR "/src/hwlibs/gemmini/runtime"
                     " -I " EXO_SOURCE_DIR "/src/hwlibs/amx/runtime";
+  // The simulator objects are build artifacts (src/CMakeLists.txt); each
+  // module links its own copy of the ones its source includes.
+  std::vector<const char *> SimObjects;
   if (usesGemminiSim(SourceText))
-    Cmd += " " EXO_SOURCE_DIR "/src/hwlibs/gemmini/runtime/gemmini_sim.c";
+    SimObjects.push_back(EXO_GEMMINI_SIM_OBJ);
   if (usesAmxSim(SourceText))
-    Cmd += " " EXO_SOURCE_DIR "/src/hwlibs/amx/runtime/amx_sim.c";
+    SimObjects.push_back(EXO_AMX_SIM_OBJ);
+  for (const char *Obj : SimObjects) {
+    if (access(Obj, R_OK) != 0)
+      return makeError(Error::Kind::Backend,
+                       std::string("simulator object ") + Obj +
+                           " is missing (rebuild the exo_backend target)");
+    Cmd += std::string(" ") + Obj;
+  }
   Cmd += " -lm 2> " + ErrPath;
   return Cmd;
 }

@@ -25,10 +25,11 @@
 ///    -fPIC` per distinct source, content-hashed module cache, dlclose on
 ///    eviction) and calls entries in-process through generated
 ///    trampolines. Accelerator traps are contained per module: each .so
-///    carries its own copy of the simulator runtimes, and the backend
-///    routes that copy's trap handler through a recording callback for
-///    the duration of a call, so a trapping case fails with
-///    ExecKind::Trap instead of killing the process.
+///    links a private copy of the build's prebuilt simulator objects (the
+///    csource harness binary links one too), and the backend routes that
+///    copy's trap handler through a recording callback for the duration
+///    of a call, so a trapping case fails with ExecKind::Trap instead of
+///    killing the process.
 ///
 /// The registry (findBackend/allBackends/registerBackend) is how the
 /// oracle, the kernel suite, and future autotuner drivers pick their

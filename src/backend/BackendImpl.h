@@ -7,7 +7,7 @@
 /// \file
 /// Helpers shared by CSourceBackend and JitBackend: module construction
 /// (generateC + entry metadata + content hash), the host-compiler command
-/// line (simulator runtime include paths, conditional sim sources), and
+/// line (simulator runtime include paths, conditional sim objects), and
 /// the generic `void exo_rt_<entry>(void **)` trampoline emission both
 /// execution paths marshal through. Internal to src/backend.
 ///
@@ -48,18 +48,20 @@ Expected<LoweredModuleRef> lowerCommon(const std::vector<ir::ProcRef> &Procs,
                                        const std::string &BackendName);
 
 /// Whether the generated source pulls in an accelerator simulator (and
-/// its .c must be linked into the artifact).
+/// the build's prebuilt simulator object must be linked into the artifact).
 bool usesGemminiSim(const std::string &Source);
 bool usesAmxSim(const std::string &Source);
 
 /// The full host-compiler command: `<cc> <Flags> -o <Out> <Src> -I <sim
-/// runtimes> [sim .c files] -lm 2> <ErrPath>`. Sim sources are appended
-/// only when \p SourceText references their header.
-std::string compileCommand(const std::string &Compiler,
-                           const std::string &Flags, const std::string &Src,
-                           const std::string &Out,
-                           const std::string &SourceText,
-                           const std::string &ErrPath);
+/// runtimes> [sim objects] -lm 2> <ErrPath>`. A simulator object is
+/// appended only when \p SourceText references its header; an error
+/// naming the path when that object is missing from the build tree.
+Expected<std::string> compileCommand(const std::string &Compiler,
+                                     const std::string &Flags,
+                                     const std::string &Src,
+                                     const std::string &Out,
+                                     const std::string &SourceText,
+                                     const std::string &ErrPath);
 
 /// C source for the `void exo_rt_<name>(void **a)` trampolines of every
 /// executable entry: a[i] is read as int64_t for controls and cast to the

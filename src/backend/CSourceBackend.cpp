@@ -160,9 +160,13 @@ ExecStatus ensureBuilt(LoweredModule &M, CsModule &S) {
     std::ofstream F(Src);
     F << M.source() << emitHarness(M);
   }
-  std::string Cmd = compileCommand(M.compilerHint(), "-O1 -std=c11", Src,
-                                   S.Exe, M.source(), Err);
-  if (std::system(Cmd.c_str()) != 0) {
+  auto Cmd = compileCommand(M.compilerHint(), "-O1 -std=c11", Src, S.Exe,
+                            M.source(), Err);
+  if (!Cmd) {
+    S.BuildError = "csource: " + Cmd.error().message();
+    return {ExecKind::CompileError, 0, S.BuildError};
+  }
+  if (std::system(Cmd->c_str()) != 0) {
     S.BuildError = "cc failed on " + S.Dir.keep() + ": " +
                    truncated(readFile(Err), 800);
     return {ExecKind::CompileError, 0, S.BuildError};

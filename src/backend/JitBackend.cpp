@@ -16,12 +16,13 @@
 /// references it (the handle is shared_ptr-owned, so an in-use module
 /// survives its own eviction until released).
 ///
-/// Trap containment is per module: each .so links its own copy of the
-/// accelerator simulator runtimes (their state is module-local), and the
-/// backend installs a host-side recording handler into that copy at load
-/// time. execute() clears the module's trap state before the call and
-/// reports ExecKind::Trap after it, so a trapping candidate fails the
-/// case — never the process.
+/// Trap containment is per module: each .so statically links a private
+/// copy of the build's prebuilt simulator objects (compiled once per
+/// build tree, never at run time), so simulator state is module-local
+/// under RTLD_LOCAL. The backend installs a host-side recording handler
+/// into that copy at load time. execute() clears the module's trap state
+/// before the call and reports ExecKind::Trap after it, so a trapping
+/// candidate fails the case — never the process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -163,10 +164,16 @@ JitModuleRef compileModule(const LoweredModule &M) {
   // -O0 halves compile time vs -O1 and execution is bit-identical on the
   // integer-exact data the oracle feeds; -w because generated code is
   // warning-noisy under harnesses and the diagnostics go nowhere.
-  std::string Cmd = compileCommand(M.compilerHint(),
-                                   "-O0 -w -pipe -std=c11 -shared -fPIC", Src,
-                                   So, M.source(), Err);
-  if (std::system(Cmd.c_str()) != 0) {
+  // The simulator objects are built with these same flags (minus
+  // -shared), so the simulator bytes in every module are identical.
+  auto Cmd = compileCommand(M.compilerHint(),
+                            "-O0 -w -pipe -std=c11 -shared -fPIC", Src, So,
+                            M.source(), Err);
+  if (!Cmd) {
+    J->BuildError = "jit: " + Cmd.error().message();
+    return J;
+  }
+  if (std::system(Cmd->c_str()) != 0) {
     J->BuildError = "cc failed on " + J->Dir.keep() + ": " +
                     truncated(readFile(Err), 800);
     return J;

@@ -10,6 +10,7 @@
 #include "ir/Printer.h"
 
 #include <functional>
+#include <set>
 
 using namespace exo;
 using namespace exo::scheduling;
@@ -351,21 +352,22 @@ Expected<ProcRef> exo::scheduling::stageMem(const ProcRef &P,
 
 namespace {
 
-/// Retypes every use of \p Target (reads, windows) to the new element
-/// kind; used by setPrecision.
-ExprRef retypeExpr(const ExprRef &E, Sym Target, ScalarKind K) {
+/// Retypes every use of a symbol in \p Targets (reads, windows) to the new
+/// element kind; used by setPrecision.
+ExprRef retypeExpr(const ExprRef &E, const std::set<Sym> &Targets,
+                   ScalarKind K) {
   std::vector<ExprRef> Kids = childExprs(E);
   bool Changed = false;
   for (auto &Kid : Kids) {
     if (!Kid)
       continue;
-    ExprRef R = retypeExpr(Kid, Target, K);
+    ExprRef R = retypeExpr(Kid, Targets, K);
     Changed |= R != Kid;
     Kid = R;
   }
   ExprRef Base = Changed ? withNewArgs(E, std::move(Kids)) : E;
   if ((Base->kind() == ExprKind::Read || Base->kind() == ExprKind::WindowExpr)
-      && Base->name() == Target && Base->type().isData()) {
+      && Targets.count(Base->name()) && Base->type().isData()) {
     auto Copy = std::make_shared<Expr>(*Base);
     Copy->Ty = Base->type().withElem(K);
     return Copy;
@@ -373,29 +375,34 @@ ExprRef retypeExpr(const ExprRef &E, Sym Target, ScalarKind K) {
   return Base;
 }
 
-StmtRef retypeStmt(const StmtRef &S, Sym Target, ScalarKind K);
+StmtRef retypeStmt(const StmtRef &S, std::set<Sym> &Targets, ScalarKind K);
 
-Block retypeBlock(const Block &B, Sym Target, ScalarKind K) {
+Block retypeBlock(const Block &B, std::set<Sym> &Targets, ScalarKind K) {
   Block Out;
   for (auto &S : B)
-    Out.push_back(retypeStmt(S, Target, K));
+    Out.push_back(retypeStmt(S, Targets, K));
   return Out;
 }
 
-StmtRef retypeStmt(const StmtRef &S, Sym Target, ScalarKind K) {
+/// Statements are visited in program order, so a window bound from a
+/// target (`w = t[...]`) joins \p Targets before its uses, and windows of
+/// that window (`v = w[...]`) follow transitively.
+StmtRef retypeStmt(const StmtRef &S, std::set<Sym> &Targets, ScalarKind K) {
   auto Copy = std::make_shared<Stmt>(*S);
   for (auto &I : Copy->Idx)
-    I = retypeExpr(I, Target, K);
+    I = retypeExpr(I, Targets, K);
   if (Copy->Rhs)
-    Copy->Rhs = retypeExpr(Copy->Rhs, Target, K);
+    Copy->Rhs = retypeExpr(Copy->Rhs, Targets, K);
   if (Copy->LoE)
-    Copy->LoE = retypeExpr(Copy->LoE, Target, K);
+    Copy->LoE = retypeExpr(Copy->LoE, Targets, K);
   if (Copy->HiE)
-    Copy->HiE = retypeExpr(Copy->HiE, Target, K);
-  if (S->kind() == StmtKind::Alloc && S->name() == Target)
+    Copy->HiE = retypeExpr(Copy->HiE, Targets, K);
+  if (S->kind() == StmtKind::Alloc && Targets.count(S->name()))
     Copy->AllocTy = S->allocType().withElem(K);
-  Copy->Body = retypeBlock(S->body(), Target, K);
-  Copy->Orelse = retypeBlock(S->orelse(), Target, K);
+  if (S->kind() == StmtKind::WindowStmt && Targets.count(S->rhs()->name()))
+    Targets.insert(S->name());
+  Copy->Body = retypeBlock(S->body(), Targets, K);
+  Copy->Orelse = retypeBlock(S->orelse(), Targets, K);
   return Copy;
 }
 
@@ -452,7 +459,8 @@ Expected<ProcRef> exo::scheduling::setPrecision(const ProcRef &P,
     if (A.Name == Target)
       A.Ty = A.Ty.withElem(Precision);
   Q->setArgs(std::move(Args));
-  Q->setBody(retypeBlock(P->body(), Target, Precision));
+  std::set<Sym> Targets = {Target};
+  Q->setBody(retypeBlock(P->body(), Targets, Precision));
   Q->setProvenance(P, {});
   return ProcRef(Q);
 }

@@ -9,13 +9,15 @@
 // csource and jit backends (and against raw generateC), a csource-vs-jit
 // differential over the pinned fuzz corpus, the JIT module cache
 // counters, in-process trap containment via the simulator fault hook,
-// and the AMX matmul case study end-to-end through both backends.
+// simulator state kept private to each module, and the AMX and Gemmini
+// matmul case studies end-to-end through both backends.
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/Backend.h"
 
 #include "apps/AmxMatmul.h"
+#include "apps/GemminiMatmul.h"
 #include "driver/KernelSuite.h"
 #include "frontend/Parser.h"
 #include "support/TempDir.h"
@@ -379,6 +381,108 @@ TEST(JitTrap, InjectedSimFaultIsContained) {
   std::fill(C.begin(), C.end(), 0.0f);
   ExecStatus S2 = BE.execute(**M, K->Hoisted->name(), Args);
   EXPECT_TRUE(S2.ok()) << execKindName(S2.Kind) << ": " << S2.Detail;
+}
+
+TEST(JitTrap, SimulatorStateIsPrivatePerModule) {
+  // Two distinct Gemmini kernels in two modules: each module links its
+  // own copy of the prebuilt simulator object, so cycle counters and
+  // fault hooks never leak from one module into the other.
+  auto K = apps::buildGemminiMatmul(32, 32, 32);
+  ASSERT_TRUE(bool(K)) << K.error().str();
+  JitBackend &BE = jitBackend();
+  auto MA = BE.lower(K->OldLib);
+  auto MB = BE.lower(K->ExoLib);
+  ASSERT_TRUE(bool(MA)) << MA.error().str();
+  ASSERT_TRUE(bool(MB)) << MB.error().str();
+
+  using ResetFn = void (*)(int);
+  using CyclesFn = uint64_t (*)();
+  using FaultFn = int (*)();
+  using SetFaultFn = void (*)(FaultFn);
+  auto ResetA =
+      reinterpret_cast<ResetFn>(BE.moduleSymbol(**MA, "gemmini_reset"));
+  auto ResetB =
+      reinterpret_cast<ResetFn>(BE.moduleSymbol(**MB, "gemmini_reset"));
+  auto CyclesA =
+      reinterpret_cast<CyclesFn>(BE.moduleSymbol(**MA, "gemmini_cycles"));
+  auto CyclesB =
+      reinterpret_cast<CyclesFn>(BE.moduleSymbol(**MB, "gemmini_cycles"));
+  auto SetFaultA = reinterpret_cast<SetFaultFn>(
+      BE.moduleSymbol(**MA, "gemmini_set_fault_fn"));
+  ASSERT_TRUE(ResetA && ResetB && CyclesA && CyclesB && SetFaultA);
+  ASSERT_NE(CyclesA, CyclesB) << "both modules resolved one simulator copy";
+
+  std::vector<float> A(32 * 32, 1.0f), B(32 * 32, 2.0f), C(32 * 32);
+  auto run = [&](LoweredModule &M, const ProcRef &P) {
+    std::fill(C.begin(), C.end(), 0.0f);
+    BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                      RunArg::buffer(B.data(), B.size() * sizeof(float)),
+                      RunArg::buffer(C.data(), C.size() * sizeof(float))};
+    return BE.execute(M, P->name(), Args);
+  };
+
+  ResetA(0); // EXO_GEMMINI_MODE_SW
+  ResetB(0);
+  ExecStatus SA = run(**MA, K->OldLib);
+  ASSERT_TRUE(SA.ok()) << execKindName(SA.Kind) << ": " << SA.Detail;
+  uint64_t OwnA = CyclesA();
+  EXPECT_GT(OwnA, 0u);
+  EXPECT_EQ(CyclesB(), 0u) << "module B counted module A's run";
+
+  ExecStatus SB = run(**MB, K->ExoLib);
+  ASSERT_TRUE(SB.ok()) << execKindName(SB.Kind) << ": " << SB.Detail;
+  EXPECT_EQ(CyclesA(), OwnA) << "module A counted module B's run";
+  EXPECT_GT(CyclesB(), 0u);
+  // Hoisted configuration is cheaper than per-tile (Fig. 4a).
+  EXPECT_LT(CyclesB(), OwnA);
+
+  // A fault hook installed in A's copy traps A only.
+  SetFaultA(exoTestAlwaysFault);
+  ExecStatus TA = run(**MA, K->OldLib);
+  ExecStatus TB = run(**MB, K->ExoLib);
+  SetFaultA(nullptr);
+  EXPECT_EQ(TA.Kind, ExecKind::Trap) << TA.Detail;
+  EXPECT_TRUE(TB.ok()) << execKindName(TB.Kind) << ": " << TB.Detail;
+}
+
+TEST(GemminiMatmul, CSourceHarnessMatchesJit) {
+  // The csource backend links the same PIC simulator object into a
+  // non-shared executable; its outputs must equal the JIT's.
+  const int64_t N = 128;
+  auto K = apps::buildGemminiMatmul(N, N, N);
+  ASSERT_TRUE(bool(K)) << K.error().str();
+  std::vector<float> A(N * N), B(N * N);
+  uint32_t S = 4242;
+  auto nextVal = [&S]() {
+    S = S * 1103515245u + 12345u;
+    return static_cast<float>(static_cast<int>((S >> 16) % 7) - 3);
+  };
+  for (float &V : A)
+    V = nextVal();
+  for (float &V : B)
+    V = nextVal();
+
+  std::vector<std::vector<float>> Outs;
+  for (Backend *BE : {static_cast<Backend *>(&jitBackend()),
+                      static_cast<Backend *>(&csourceBackend())}) {
+    auto M = BE->lower(K->ExoLib);
+    ASSERT_TRUE(bool(M)) << BE->name() << ": " << M.error().str();
+    std::vector<float> Av = A, Bv = B, Cv(N * N, 0.0f);
+    BufferSet Args = {RunArg::buffer(Av.data(), Av.size() * sizeof(float)),
+                      RunArg::buffer(Bv.data(), Bv.size() * sizeof(float)),
+                      RunArg::buffer(Cv.data(), Cv.size() * sizeof(float))};
+    ExecStatus St = BE->execute(**M, K->ExoLib->name(), Args);
+    ASSERT_TRUE(St.ok()) << BE->name() << ": " << execKindName(St.Kind)
+                         << ": " << St.Detail;
+    Outs.push_back(std::move(Cv));
+  }
+  ASSERT_EQ(Outs.size(), 2u);
+  EXPECT_EQ(0, std::memcmp(Outs[0].data(), Outs[1].data(),
+                           Outs[0].size() * sizeof(float)));
+  float Ref00 = 0;
+  for (int64_t L = 0; L < N; ++L)
+    Ref00 += A[L] * B[L * N];
+  EXPECT_EQ(Outs[1][0], Ref00);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 
 #include "backend/CodeGen.h"
 
+#include "backend/Backend.h"
 #include "backend/Checks.h"
 #include "backend/Memory.h"
 #include "interp/Interp.h"
@@ -13,10 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <random>
+#include <vector>
 
 using namespace exo;
 using namespace exo::backend;
@@ -168,38 +166,14 @@ def f(x: R[8, 8], y: R[8]):
 // Compile-and-run: generated C must agree with the interpreter.
 //===----------------------------------------------------------------------===//
 
-/// Compiles the generated C plus a main() harness, runs it, and returns
-/// the printed doubles.
-std::vector<double> compileAndRun(const std::string &CCode,
-                                  const std::string &MainCode,
-                                  bool &Ok) {
-  Ok = false;
-  std::string Dir = ::testing::TempDir();
-  std::string CPath = Dir + "/exo_gen.c";
-  std::string Bin = Dir + "/exo_gen_bin";
-  std::string OutPath = Dir + "/exo_gen_out.txt";
-  {
-    std::ofstream F(CPath);
-    F << CCode << "\n#include <stdio.h>\n" << MainCode;
-  }
-  std::string Cmd = "cc -O1 -std=c11 -o " + Bin + " " + CPath +
-                    " -lm 2> " + Dir + "/cc_err.txt";
-  if (std::system(Cmd.c_str()) != 0) {
-    std::ifstream E(Dir + "/cc_err.txt");
-    std::string Line;
-    while (std::getline(E, Line))
-      fprintf(stderr, "cc: %s\n", Line.c_str());
-    return {};
-  }
-  if (std::system((Bin + " > " + OutPath).c_str()) != 0)
-    return {};
-  std::ifstream In(OutPath);
-  std::vector<double> Values;
-  double V;
-  while (In >> V)
-    Values.push_back(V);
-  Ok = true;
-  return Values;
+/// Runs \p P through the csource backend (one fresh scratch directory per
+/// module, so parallel test processes never share artifacts); \p Args
+/// hold the C-side inputs and receive the outputs.
+ExecStatus runCompiled(const ProcRef &P, BufferSet Args) {
+  auto M = csourceBackend().lower(P);
+  if (!M)
+    return {ExecKind::CompileError, 0, M.error().str()};
+  return csourceBackend().execute(**M, P->name(), Args);
 }
 
 TEST(CodeGenExecTest, GeneratedGemmMatchesInterpreter) {
@@ -212,36 +186,9 @@ def gemm(n: size, A: R[n, n], B: R[n, n], C: R[n, n]):
                 C[i, j] += A[i, k] * B[k, j]
 )";
   ProcRef P = mustParse(Src);
-  auto C = generateC(P);
-  ASSERT_TRUE(bool(C)) << C.error().str();
 
   const int64_t N = 6;
-  // Deterministic pseudo-random inputs reproduced in the C harness.
-  std::string Main = R"(
-int main(void) {
-  enum { N = 6 };
-  float A[N*N], B[N*N], C[N*N];
-  unsigned s = 12345;
-  for (int i = 0; i < N*N; i++) {
-    s = s * 1103515245u + 12345u;
-    A[i] = (float)((s >> 16) % 1000) / 250.0f - 2.0f;
-  }
-  for (int i = 0; i < N*N; i++) {
-    s = s * 1103515245u + 12345u;
-    B[i] = (float)((s >> 16) % 1000) / 250.0f - 2.0f;
-  }
-  for (int i = 0; i < N*N; i++) C[i] = 0.0f;
-  gemm(N, A, B, C);
-  for (int i = 0; i < N*N; i++) printf("%.6f\n", (double)C[i]);
-  return 0;
-}
-)";
-  bool Ok = false;
-  std::vector<double> FromC = compileAndRun(*C, Main, Ok);
-  ASSERT_TRUE(Ok) << "compilation or execution failed";
-  ASSERT_EQ(FromC.size(), static_cast<size_t>(N * N));
-
-  // Interpreter with the same inputs.
+  // Deterministic pseudo-random inputs, shared by C and the interpreter.
   std::vector<double> A(N * N), B(N * N), CC(N * N, 0.0);
   unsigned S = 12345;
   auto NextVal = [&S]() {
@@ -254,6 +201,16 @@ int main(void) {
     V = NextVal();
   for (auto &V : B)
     V = NextVal();
+
+  std::vector<float> Af(A.begin(), A.end()), Bf(B.begin(), B.end()),
+      Cf(N * N, 0.0f);
+  ExecStatus St = runCompiled(
+      P, {RunArg::control(N),
+          RunArg::buffer(Af.data(), Af.size() * sizeof(float)),
+          RunArg::buffer(Bf.data(), Bf.size() * sizeof(float)),
+          RunArg::buffer(Cf.data(), Cf.size() * sizeof(float))});
+  ASSERT_TRUE(St.ok()) << execKindName(St.Kind) << ": " << St.Detail;
+
   interp::Interp I;
   auto R = I.run(P, {interp::ArgValue::control(N),
                      interp::ArgValue::buffer(
@@ -264,7 +221,7 @@ int main(void) {
                          interp::BufferView::dense(CC.data(), {N, N}))});
   ASSERT_TRUE(bool(R)) << R.error().str();
   for (int64_t K = 0; K < N * N; ++K)
-    EXPECT_NEAR(FromC[K], CC[K], 1e-3) << "element " << K;
+    EXPECT_NEAR(Cf[K], CC[K], 1e-3) << "element " << K;
 }
 
 TEST(CodeGenExecTest, ScheduledGemmMatchesToo) {
@@ -283,32 +240,23 @@ def gemm16(A: R[16, 16], B: R[16, 16], C: R[16, 16]):
   Q = *reorderLoops(Q, "for ii in _: _");
   Q = *stageMem(Q, "for ii in _: _", 1, "B[0:16, j:j+1]", "b_col");
   Q = *simplify(Q);
-  auto C = generateC(Q);
-  ASSERT_TRUE(bool(C)) << C.error().str();
-
-  std::string Main = R"(
-int main(void) {
-  enum { N = 16 };
-  float A[N*N], B[N*N], C[N*N];
-  for (int i = 0; i < N*N; i++) { A[i] = (float)(i % 7) - 3.0f;
-                                  B[i] = (float)(i % 5) - 2.0f;
-                                  C[i] = 0.0f; }
-  gemm16(A, B, C);
-  for (int i = 0; i < N*N; i++) printf("%.6f\n", (double)C[i]);
-  return 0;
-}
-)";
-  bool Ok = false;
-  std::vector<double> FromC = compileAndRun(*C, Main, Ok);
-  ASSERT_TRUE(Ok);
-  ASSERT_EQ(FromC.size(), 256u);
+  std::vector<float> A(256), B(256), C(256, 0.0f);
+  for (int I = 0; I < 256; ++I) {
+    A[I] = static_cast<float>(I % 7) - 3.0f;
+    B[I] = static_cast<float>(I % 5) - 2.0f;
+  }
+  ExecStatus St = runCompiled(
+      Q, {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+          RunArg::buffer(B.data(), B.size() * sizeof(float)),
+          RunArg::buffer(C.data(), C.size() * sizeof(float))});
+  ASSERT_TRUE(St.ok()) << execKindName(St.Kind) << ": " << St.Detail;
   for (int I = 0; I < 256; ++I) {
     int Row = I / 16, Col = I % 16;
     double Want = 0;
     for (int K = 0; K < 16; ++K)
       Want += (double)((Row * 16 + K) % 7 - 3.0) *
               (double)((K * 16 + Col) % 5 - 2.0);
-    EXPECT_NEAR(FromC[I], Want, 1e-3) << "element " << I;
+    EXPECT_NEAR(C[I], Want, 1e-3) << "element " << I;
   }
 }
 

@@ -287,4 +287,31 @@ def f(x: R[32], y: R[32]):
   EXPECT_NE(C->find("int8_t *x"), std::string::npos) << *C;
 }
 
+TEST(SchedulingOpsTest, SetPrecisionRetypesWindowsOfWindows) {
+  // Fuzz seed 106: a window of a window of a retyped buffer must carry the
+  // new element type, or the generated C reads int bits as float.
+  ProcRef P = mustParse(R"(
+@proc
+def f(x: R[8], y: R[8]):
+    t : R[8]
+    for i in seq(0, 8):
+        t[i] = x[i]
+    w = t[1:5]
+    v = w[3:4]
+    y[0] = v[0]
+)");
+  ProcRef Q = must(setPrecision(P, "t", ScalarKind::I32), "set t");
+  const Block &B = Q->body();
+  ASSERT_EQ(B.size(), 5u);
+  ASSERT_EQ(B[2]->kind(), StmtKind::WindowStmt);
+  ASSERT_EQ(B[3]->kind(), StmtKind::WindowStmt);
+  EXPECT_EQ(B[2]->rhs()->type().elem(), ScalarKind::I32);
+  EXPECT_EQ(B[3]->rhs()->type().elem(), ScalarKind::I32)
+      << "nested window kept the old element type";
+  EXPECT_EQ(B[4]->rhs()->type().elem(), ScalarKind::I32); // the read v[0]
+  auto C = backend::generateC(Q);
+  ASSERT_TRUE(bool(C)) << C.error().str();
+  EXPECT_EQ(C->find("exo_win_1f32"), std::string::npos) << *C;
+}
+
 } // namespace
