@@ -7,7 +7,6 @@
 #include "BenchHarness.h"
 
 #include "analysis/EffectCache.h"
-#include "smt/QueryCache.h"
 #include "smt/Solver.h"
 #include "smt/Term.h"
 
@@ -75,7 +74,6 @@ exo::bench::compileAndRun(const std::string &CSource,
 
 std::string exo::bench::solverStatsJson() {
   smt::Solver::Stats S = smt::solverGlobalStats();
-  smt::QueryCacheStats Q = smt::solverQueryCacheStats();
   analysis::EffectCacheStats E = analysis::effectCacheStats();
   smt::TermInternerStats T = smt::termInternerStats();
   std::ostringstream O;
@@ -85,8 +83,6 @@ std::string exo::bench::solverStatsJson() {
     << ", \"unknown_budget\": " << S.NumUnknownBudget
     << ", \"unknown_structural\": " << S.NumUnknownStructural
     << ", \"unknown_timeout\": " << S.NumUnknownTimeout
-    << ", \"cache_hits\": " << S.CacheHits
-    << ", \"cache_misses\": " << S.CacheMisses
     << ", \"cooper_literals\": " << S.NumLiterals
     << ", \"cooper_reorders\": " << S.CooperReorders
     << ", \"cooper_early_exits\": " << S.CooperEarlyExits << "},\n"
@@ -99,11 +95,6 @@ std::string exo::bench::solverStatsJson() {
     << ", \"interval_misses\": " << S.SimplifyIntervalMisses
     << ", \"fastpath_hits\": " << S.FastPathHits
     << ", \"fastpath_misses\": " << S.FastPathMisses << "},\n"
-    << "  \"query_cache\": {\"hits\": " << Q.Hits
-    << ", \"misses\": " << Q.Misses << ", \"insertions\": " << Q.Insertions
-    << ", \"evictions\": " << Q.Evictions
-    << ", \"uncacheable\": " << Q.Uncacheable << ", \"size\": " << Q.Size
-    << "},\n"
     << "  \"effect_cache\": {\"hits\": " << E.Hits
     << ", \"misses\": " << E.Misses << ", \"uncacheable\": " << E.Uncacheable
     << ", \"evictions\": " << E.Evictions << ", \"size\": " << E.Size

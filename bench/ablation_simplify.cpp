@@ -8,8 +8,8 @@
 /// Ablation of the solver preprocessing pipeline (DESIGN.md, "Solver
 /// preprocessing"): the six-kernel suite is compiled serially with each
 /// stage toggled in isolation, with everything off, and with everything
-/// on. Each row runs with cleared caches and the query cache disabled so
-/// the per-row Cooper literal consumption is the true per-stage cost.
+/// on. Each row runs with cleared caches so the per-row Cooper literal
+/// consumption is the true per-stage cost.
 ///
 /// The binary doubles as a regression tripwire (exit 1):
 ///  - the all-on row must answer at least 30% of safety queries by the
@@ -28,7 +28,6 @@
 #include "analysis/EffectCache.h"
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
-#include "smt/QueryCache.h"
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
 
@@ -73,7 +72,7 @@ smt::SimplifyConfig onlyStage(unsigned I) {
 int main(int argc, char **argv) {
   std::string OutPath = argc > 1 ? argv[1] : "BENCH_simplify.json";
   std::printf("Ablation: solver preprocessing stages on the six-kernel "
-              "suite (serial, query cache off)\n\n");
+              "suite (serial)\n\n");
 
   smt::SimplifyConfig AllOff;
   AllOff.ConstFold = AllOff.EqSubst = AllOff.IntervalProp = false;
@@ -90,18 +89,14 @@ int main(int argc, char **argv) {
       {"all-on", AllOn, {}, 0, false},
   };
 
-  SessionOptions Opts;
-  Opts.UseQueryCache = false; // every query must exercise the pipeline
-
   printRow({"config", "ok", "time (ms)", "queries", "decided", "fp hit",
             "fp miss", "literals", "unknown"},
            {11, 4, 10, 9, 9, 8, 8, 12, 9});
   for (Row &R : Rows) {
     smt::setSimplifyConfig(R.Cfg);
-    smt::clearSolverQueryCache();
     analysis::clearEffectCache();
     smt::resetSolverGlobalStats();
-    BatchResult B = BatchDriver(1, Opts).run(standardKernelSuite());
+    BatchResult B = BatchDriver(1).run(standardKernelSuite());
     R.Ms = B.WallMillis;
     R.AllOk = B.AllOk;
     R.S = smt::solverGlobalStats();

@@ -13,9 +13,7 @@
 /// scales with the budget, with the Unknown verdicts broken down into
 /// budget exhaustion (a bigger budget may fix it) vs structural overflow
 /// (genuine non-quasi-affine fallout no budget will fix). Each row runs
-/// with cleared caches so the per-budget numbers are comparable; the
-/// cache columns then show how much of the row's work was memoized
-/// within the row itself.
+/// with cleared caches so the per-budget numbers are comparable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +21,6 @@
 
 #include "analysis/EffectCache.h"
 #include "apps/GemminiMatmul.h"
-#include "smt/QueryCache.h"
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
 
@@ -52,14 +49,11 @@ int main() {
   }
   smt::setSimplifyConfig(Cfg);
   printRow({"budget", "pipeline", "time (ms)", "unk(budget)", "unk(struct)",
-            "cache hits", "first failing step"},
-           {10, 9, 10, 11, 11, 10, 40});
+            "first failing step"},
+           {10, 9, 10, 11, 11, 40});
   for (uint64_t Budget : Budgets) {
     smt::setDefaultMaxLiterals(Budget);
-    // Fresh caches per row: a verdict memoized under one budget must not
-    // mask the next row's budget sensitivity (Unknown is never cached, but
-    // Yes/No hits would hide the solve-time scaling).
-    smt::clearSolverQueryCache();
+    // Fresh caches per row, so every row pays its own effect extraction.
     analysis::clearEffectCache();
     smt::resetSolverGlobalStats();
     auto T0 = std::chrono::steady_clock::now();
@@ -68,15 +62,14 @@ int main() {
     double Ms =
         std::chrono::duration<double, std::milli>(T1 - T0).count();
     smt::Solver::Stats S = smt::solverGlobalStats();
-    char BBuf[32], TBuf[32], UB[32], US[32], CH[32];
+    char BBuf[32], TBuf[32], UB[32], US[32];
     std::snprintf(BBuf, 32, "%llu", (unsigned long long)Budget);
     std::snprintf(TBuf, 32, "%.1f", Ms);
     std::snprintf(UB, 32, "%llu", (unsigned long long)S.NumUnknownBudget);
     std::snprintf(US, 32, "%llu", (unsigned long long)S.NumUnknownStructural);
-    std::snprintf(CH, 32, "%llu", (unsigned long long)S.CacheHits);
-    printRow({BBuf, K ? "ok" : "FAILS", TBuf, UB, US, CH,
+    printRow({BBuf, K ? "ok" : "FAILS", TBuf, UB, US,
               K ? "-" : K.error().message().substr(0, 40)},
-             {10, 9, 10, 11, 11, 10, 40});
+             {10, 9, 10, 11, 11, 40});
   }
   }
   smt::setSimplifyConfig(smt::SimplifyConfig());

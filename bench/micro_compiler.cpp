@@ -20,7 +20,6 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "scheduling/Schedule.h"
-#include "smt/QueryCache.h"
 
 #include <benchmark/benchmark.h>
 
@@ -132,52 +131,6 @@ void BM_SolverTileDisjointness(benchmark::State &State) {
 }
 BENCHMARK(BM_SolverTileDisjointness);
 
-/// One scheduling-op-shaped safety check: the tile-disjointness obligation
-/// of a 16-way split, posed with freshly minted variables exactly as the
-/// operators do. Alpha-canonicalization is what lets the query cache hit
-/// across calls despite the fresh variables.
-smt::SolverResult tileDisjointQuery() {
-  using namespace exo::smt;
-  Solver S;
-  TermVar Io = freshVar("io", Sort::Int), Io2 = freshVar("io2", Sort::Int);
-  TermVar Ii = freshVar("ii", Sort::Int), Ii2 = freshVar("ii2", Sort::Int);
-  TermRef Bounds =
-      mkAnd({le(intConst(0), mkVar(Ii)), lt(mkVar(Ii), intConst(16)),
-             le(intConst(0), mkVar(Ii2)), lt(mkVar(Ii2), intConst(16)),
-             ne(mkVar(Io), mkVar(Io2))});
-  TermRef Distinct = ne(add(mul(16, mkVar(Io)), mkVar(Ii)),
-                        add(mul(16, mkVar(Io2)), mkVar(Ii2)));
-  return S.checkValid(implies(Bounds, Distinct));
-}
-
-void BM_SolverCacheCold(benchmark::State &State) {
-  // Every iteration starts from an empty memo table: each of the 8 queries
-  // runs the full prenex + Cooper pipeline.
-  for (auto _ : State) {
-    smt::clearSolverQueryCache();
-    for (int I = 0; I < 8; ++I) {
-      auto R = tileDisjointQuery();
-      benchmark::DoNotOptimize(R);
-    }
-  }
-}
-BENCHMARK(BM_SolverCacheCold);
-
-void BM_SolverCacheWarm(benchmark::State &State) {
-  // Identical workload, but the memo table is primed: all 8 alpha-variant
-  // queries resolve from the cache.
-  smt::clearSolverQueryCache();
-  auto Prime = tileDisjointQuery();
-  benchmark::DoNotOptimize(Prime);
-  for (auto _ : State) {
-    for (int I = 0; I < 8; ++I) {
-      auto R = tileDisjointQuery();
-      benchmark::DoNotOptimize(R);
-    }
-  }
-}
-BENCHMARK(BM_SolverCacheWarm);
-
 void BM_EffectExtractionWarm(benchmark::State &State) {
   // Same workload as BM_EffectExtraction, but without clearing the effect
   // cache: every statement summary after the first iteration is a hit.
@@ -195,19 +148,14 @@ BENCHMARK(BM_EffectExtractionWarm);
 
 void BM_Fig5aScheduleReplay(benchmark::State &State) {
   // Replays the full fig5a SGEMM schedule (split/reorder/stage/vectorize
-  // pipeline) end to end. Each replay builds a fresh proc with fresh
-  // symbols, so the solver cache is what carries work across iterations —
-  // exactly the "same schedule, re-run" interactive workload.
+  // pipeline) end to end — the "same schedule, re-run" interactive
+  // workload. Each replay builds a fresh proc with fresh symbols.
   smt::Solver::Stats Before = smt::solverGlobalStats();
   for (auto _ : State) {
     auto K = apps::buildSgemm(48, 128, 64);
     benchmark::DoNotOptimize(K);
   }
   smt::Solver::Stats After = smt::solverGlobalStats();
-  State.counters["solver_hits"] =
-      static_cast<double>(After.CacheHits - Before.CacheHits);
-  State.counters["solver_misses"] =
-      static_cast<double>(After.CacheMisses - Before.CacheMisses);
   State.counters["solver_queries"] =
       static_cast<double>(After.NumQueries - Before.NumQueries);
 }

@@ -18,7 +18,6 @@
 #include "analysis/EffectCache.h"
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
-#include "smt/QueryCache.h"
 #include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
@@ -30,7 +29,6 @@ namespace {
 
 void coldCaches() {
   smt::clearTermInterner();
-  smt::clearSolverQueryCache();
   analysis::clearEffectCache();
   smt::resetSolverGlobalStats();
 }
@@ -54,8 +52,6 @@ void runBatch(benchmark::State &State, unsigned Threads) {
   State.counters["threads"] = static_cast<double>(Threads);
   State.counters["c_bytes"] = static_cast<double>(Bytes);
   State.counters["solver_queries"] = static_cast<double>(Last.SolverQueries);
-  State.counters["query_cache_hits"] =
-      static_cast<double>(Last.QueryCacheHits);
   State.counters["term_hits"] = static_cast<double>(Last.TermHits);
   State.counters["effect_hits"] = static_cast<double>(Last.EffectHits);
 }

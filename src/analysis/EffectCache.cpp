@@ -87,8 +87,6 @@ struct EffectCache {
   std::atomic<uint64_t> CanonIndexed{0};
   std::atomic<uint64_t> CanonUnshareable{0};
 
-  std::atomic<bool> Enabled{true};
-
   static constexpr size_t MaxEntriesPerShard = (1u << 13) / NumShards;
   static constexpr size_t MaxLinesPerStmt = 8;
 
@@ -129,11 +127,22 @@ bool computeStateInvariant(const StmtRef &S) {
   }
 }
 
-/// Record accessors; caller holds the shard mutex.
+/// Record accessors; caller holds the shard mutex. Every record pins its
+/// statement, so every path that creates one (the invariance memo, loop
+/// variable pinning, inserts) is bounded here: a full shard is flushed
+/// before a new record goes in. A flush invalidates references into the
+/// table, so no caller may keep a StmtRecord& across a recordFor call for
+/// a different statement.
 StmtRecord &recordFor(CacheShard &C, const StmtRef &S) {
+  auto It = C.Table.find(S.get());
+  if (It != C.Table.end())
+    return It->second;
+  if (C.Table.size() >= EffectCache::MaxEntriesPerShard) {
+    C.Table.clear();
+    ++C.Stats.Evictions;
+  }
   StmtRecord &R = C.Table[S.get()];
-  if (!R.Pin)
-    R.Pin = S;
+  R.Pin = S;
   return R;
 }
 
@@ -761,8 +770,6 @@ bool exo::analysis::effectCacheLookup(AnalysisCtx &Ctx, const StmtRef &S,
                                       const FlowState &State,
                                       EffectSets &Out) {
   EffectCache &E = EffectCache::get();
-  if (!E.Enabled.load(std::memory_order_relaxed))
-    return false;
   CacheShard &C = E.shardFor(S.get());
   bool CanonCandidate = false;
   {
@@ -842,8 +849,6 @@ void exo::analysis::effectCacheInsert(AnalysisCtx &Ctx, const StmtRef &S,
                                       unsigned FreshMark,
                                       const EffectSets &Eff) {
   EffectCache &E = EffectCache::get();
-  if (!E.Enabled.load(std::memory_order_relaxed))
-    return;
   CacheShard &C = E.shardFor(S.get());
   std::vector<Sym> FreeSyms;
   {
@@ -852,8 +857,7 @@ void exo::analysis::effectCacheInsert(AnalysisCtx &Ctx, const StmtRef &S,
       ++C.Stats.Uncacheable;
       return;
     }
-    // Copy: the table may be flushed below, which would invalidate a
-    // reference into the record.
+    // Copy: the canonical indexing below runs after the lock is released.
     FreeSyms = freeSymsLocked(C, S);
     for (auto &Sy : FreeSyms)
       if (State.Aliases.count(Sy)) {
@@ -884,17 +888,8 @@ void exo::analysis::effectCacheInsert(AnalysisCtx &Ctx, const StmtRef &S,
       return;
     }
 
-    if (C.Table.size() >= EffectCache::MaxEntriesPerShard) {
-      C.Table.clear();
-      ++C.Stats.Evictions;
-    }
+    // The record exists (invariantLocked made it), so this cannot flush.
     StmtRecord &R = recordFor(C, S);
-    R.Invariant = 1;
-    if (!R.HaveFreeSyms) {
-      // recordFor may have re-created R after the flush above.
-      R.FreeSyms = FreeSyms;
-      R.HaveFreeSyms = true;
-    }
     Fingerprint FP = fingerprintOf(R.FreeSyms, State);
     bool Stored = false;
     for (auto &Line : R.Lines)
@@ -948,14 +943,6 @@ void exo::analysis::effectCacheInsert(AnalysisCtx &Ctx, const StmtRef &S,
     if (Inserted)
       E.CanonIndexed.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-bool exo::analysis::effectCacheEnabled() {
-  return EffectCache::get().Enabled.load(std::memory_order_relaxed);
-}
-
-void exo::analysis::setEffectCacheEnabled(bool Enabled) {
-  EffectCache::get().Enabled.store(Enabled, std::memory_order_relaxed);
 }
 
 EffectCacheStats exo::analysis::effectCacheStats() {

@@ -30,8 +30,7 @@
 /// On top of the address-keyed table sits a *canonical content index* for
 /// loop/branch subtrees: the statement and its environment slice are
 /// serialized with symbols and solver variables alpha-renamed to
-/// first-occurrence indices (the same De Bruijn-style canonicalization the
-/// solver query cache uses), so a recompile of the same kernel — which
+/// first-occurrence indices, so a recompile of the same kernel — which
 /// mints entirely fresh Syms and solver variables — maps to the same key.
 /// A canonical hit rehydrates the stored summary by substituting the
 /// current compile's variables and symbols positionally; byte-equal keys
@@ -56,7 +55,7 @@ struct EffectCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Uncacheable = 0; ///< extractions that could not be stored
-  uint64_t Evictions = 0;   ///< whole-table flushes on overflow
+  uint64_t Evictions = 0;   ///< shard flushes on overflow
   /// Summaries served by rehydrating a canonically-equal statement's
   /// record from a previous compile (subset of Hits). The cross-compile
   /// amortization gauge.
@@ -90,9 +89,6 @@ bool effectCacheLookup(AnalysisCtx &Ctx, const ir::StmtRef &S,
 void effectCacheInsert(AnalysisCtx &Ctx, const ir::StmtRef &S,
                        const FlowState &State, unsigned FreshMark,
                        const EffectSets &Eff);
-
-bool effectCacheEnabled();
-void setEffectCacheEnabled(bool Enabled);
 
 EffectCacheStats effectCacheStats();
 void clearEffectCache();

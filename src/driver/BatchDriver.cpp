@@ -7,7 +7,6 @@
 #include "driver/BatchDriver.h"
 
 #include "analysis/EffectCache.h"
-#include "smt/QueryCache.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -46,7 +45,6 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
 
   smt::Solver::Stats Solver0 = smt::solverGlobalStats();
   smt::TermInternerStats Term0 = smt::termInternerStats();
-  smt::QueryCacheStats Query0 = smt::solverQueryCacheStats();
   analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
 
   std::unique_ptr<JobTrack[]> Track(new JobTrack[Jobs.size()]);
@@ -137,12 +135,8 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
 
   smt::Solver::Stats Solver1 = smt::solverGlobalStats();
   smt::TermInternerStats Term1 = smt::termInternerStats();
-  smt::QueryCacheStats Query1 = smt::solverQueryCacheStats();
   analysis::EffectCacheStats Eff1 = analysis::effectCacheStats();
   Out.Cache.SolverQueries = Solver1.NumQueries - Solver0.NumQueries;
-  Out.Cache.QueryCacheHits = Query1.Hits - Query0.Hits;
-  Out.Cache.QueryCacheMisses = Query1.Misses - Query0.Misses;
-  Out.Cache.QueryCacheCrossJobHits = Query1.CrossJobHits - Query0.CrossJobHits;
   Out.Cache.EffectCrossCompileHits =
       Eff1.CrossCompileHits - Eff0.CrossCompileHits;
   Out.Cache.TermHits = Term1.Hits - Term0.Hits;

@@ -35,12 +35,6 @@ namespace driver {
 /// concurrently with the batch).
 struct BatchCacheStats {
   uint64_t SolverQueries = 0;
-  uint64_t QueryCacheHits = 0;
-  uint64_t QueryCacheMisses = 0;
-  /// Query-cache hits served from entries a *different* compile job
-  /// inserted (batch siblings or earlier compiles in this process) —
-  /// the cross-compile amortization the VarId-canonical keys enable.
-  uint64_t QueryCacheCrossJobHits = 0;
   /// Effect-summary cache hits rehydrated from another compile's
   /// canonically-equal statement (see analysis::EffectCacheStats).
   uint64_t EffectCrossCompileHits = 0;

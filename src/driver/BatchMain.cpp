@@ -42,7 +42,6 @@
 #include "testing/ScheduleGen.h"
 
 #include "analysis/EffectCache.h"
-#include "smt/QueryCache.h"
 
 #include <cstdio>
 #include <cstring>
@@ -56,7 +55,6 @@ namespace {
 
 void clearAllCaches() {
   smt::clearTermInterner();
-  smt::clearSolverQueryCache();
   analysis::clearEffectCache();
 }
 
@@ -135,9 +133,6 @@ void writeJson(const std::string &Path, const BatchResult &R) {
       << ",\n  \"deadline_misses\": " << R.NumDeadlineMiss
       << ",\n  \"retried\": " << R.NumRetried
       << ",\n  \"cache\": {\"solver_queries\": " << R.Cache.SolverQueries
-      << ", \"query_cache_hits\": " << R.Cache.QueryCacheHits
-      << ", \"query_cache_misses\": " << R.Cache.QueryCacheMisses
-      << ", \"query_cache_cross_job_hits\": " << R.Cache.QueryCacheCrossJobHits
       << ", \"effect_cross_compile_hits\": " << R.Cache.EffectCrossCompileHits
       << ", \"term_hits\": " << R.Cache.TermHits
       << ", \"effect_hits\": " << R.Cache.EffectHits
@@ -209,10 +204,9 @@ void printResult(const BatchResult &R) {
     }
   }
   std::printf("batch: %zu jobs on %u thread%s in %.1f ms (solver queries: "
-              "%llu, query-cache hits: %llu)\n",
+              "%llu)\n",
               R.Jobs.size(), R.Threads, R.Threads == 1 ? "" : "s",
-              R.WallMillis, (unsigned long long)R.Cache.SolverQueries,
-              (unsigned long long)R.Cache.QueryCacheHits);
+              R.WallMillis, (unsigned long long)R.Cache.SolverQueries);
   std::printf("       preprocessing: %llu decided, fast path %llu hit / "
               "%llu miss, %llu Cooper literals\n",
               (unsigned long long)R.Cache.SimplifyDecided,

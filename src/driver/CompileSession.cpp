@@ -8,7 +8,6 @@
 
 #include "analysis/EffectSnapshot.h"
 #include "backend/Backend.h"
-#include "smt/QueryCache.h"
 #include "support/Deadline.h"
 
 #include <chrono>
@@ -47,9 +46,8 @@ static bool isRetryableError(const Error &E) {
 /// true on success; on failure the error is recorded into \p R.
 static bool attemptJob(const CompileJob &Job, JobResult &R,
                        backend::Backend &BE, uint64_t MaxLiterals,
-                       bool UseQueryCache, const std::string &Tenant,
-                       Error *OutError) {
-  smt::ScopedSolverDefaults Defaults(MaxLiterals, UseQueryCache);
+                       const std::string &Tenant, Error *OutError) {
+  smt::ScopedSolverDefaults Defaults(MaxLiterals);
   Expected<std::vector<ir::ProcRef>> Procs = Job.Build();
   if (!Procs) {
     recordError(R, Procs.error());
@@ -101,19 +99,12 @@ JobResult CompileSession::run(const CompileJob &Job) const {
                               : support::Deadline::never();
     support::ScopedDeadline Scope(D);
 
-    // Every job is its own cache job: verdicts it inserts are tagged with
-    // this id, so hits a *later* job takes on them count as cross-job
-    // (the batch/daemon/tuner amortization gauge).
-    smt::ScopedQueryJob QCJob;
-    smt::QueryCacheStats QCBefore = smt::queryCacheThreadStats();
-
     // One snapshot for the whole job (including retries): every rewrite
     // in the schedule chain re-analyzes only its dirty region. The
     // snapshot caches summaries, never solver verdicts, so retries under
     // escalated budgets still re-pose their queries.
     analysis::EffectSnapshot Snapshot;
-    analysis::ScopedEffectSnapshot SnapScope(
-        Opts.UseEffectSnapshot ? &Snapshot : nullptr);
+    analysis::ScopedEffectSnapshot SnapScope(&Snapshot);
 
     uint64_t Budget = Opts.MaxLiterals == 0 ? 1 : Opts.MaxLiterals;
     uint64_t Factor = Opts.RetryBudgetFactor < 2 ? 2 : Opts.RetryBudgetFactor;
@@ -123,16 +114,15 @@ JobResult CompileSession::run(const CompileJob &Job) const {
     unsigned EscalationsLeft = Opts.MaxRetries;
     for (;;) {
       R.FinalMaxLiterals = Budget;
-      if (attemptJob(Job, R, *BE, Budget, Opts.UseQueryCache, Opts.Tenant,
-                     &LastError))
+      if (attemptJob(Job, R, *BE, Budget, Opts.Tenant, &LastError))
         break;
       if (EscalationsLeft == 0 || !isRetryableError(LastError) || D.expired())
         break;
       // Cheap retry: the solver remembered the query that came back
       // budget-Unknown. Re-prove just that query under escalated budgets;
       // only when its verdict actually changes is a full re-build worth
-      // the cost (Unknown verdicts are never cached, and a Yes/No probe
-      // result is, so the re-build gets the answer from the cache).
+      // the cost. The re-build runs under the escalated budget, so it
+      // re-solves the probed query there and gets the same verdict.
       smt::TermRef Failed = smt::lastBudgetUnknownQuery();
       bool VerdictChanged = false;
       while (EscalationsLeft > 0 && !D.expired()) {
@@ -146,7 +136,7 @@ JobResult CompileSession::run(const CompileJob &Job) const {
           break;
         }
         ++R.RetryProbes;
-        smt::ScopedSolverDefaults Escalated(Budget, Opts.UseQueryCache);
+        smt::ScopedSolverDefaults Escalated(Budget);
         smt::Solver Probe;
         if (Probe.checkValid(Failed) != smt::SolverResult::Unknown) {
           R.RetryPath = "probe";
@@ -164,10 +154,6 @@ JobResult CompileSession::run(const CompileJob &Job) const {
     R.SolverQueries = After.NumQueries - Before.NumQueries;
     R.SimplifyDecided = After.SimplifyDecided - Before.SimplifyDecided;
     R.FastPathHits = After.FastPathHits - Before.FastPathHits;
-    smt::QueryCacheStats QCAfter = smt::queryCacheThreadStats();
-    R.QueryCacheHits = QCAfter.Hits - QCBefore.Hits;
-    R.QueryCacheMisses = QCAfter.Misses - QCBefore.Misses;
-    R.QueryCacheCrossJobHits = QCAfter.CrossJobHits - QCBefore.CrossJobHits;
     analysis::EffectSnapshotStats SS = Snapshot.stats();
     R.IncrementalHits = SS.Hits;
     R.IncrementalMisses = SS.Misses;

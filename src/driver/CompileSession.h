@@ -9,7 +9,7 @@
 /// (parse + schedule), then generate C — and reports a structured
 /// JobResult instead of throwing or aborting. Sessions are safe to run
 /// concurrently on different threads: the process-wide caches they share
-/// (term interner, query cache, effect cache, Sym table, registries) are
+/// (term interner, effect cache, Sym table, registries) are
 /// individually synchronized, and per-session solver options are installed
 /// thread-locally for the duration of the job. See DESIGN.md, "Threading
 /// model".
@@ -48,7 +48,6 @@ namespace driver {
 /// concurrent sessions can use different settings.
 struct SessionOptions {
   uint64_t MaxLiterals = smt::defaultMaxLiterals();
-  bool UseQueryCache = true;
 
   /// Wall-clock deadline per job in milliseconds; 0 means none. Enforced
   /// cooperatively (solver hot loops poll it) and by the BatchDriver
@@ -66,14 +65,6 @@ struct SessionOptions {
   /// builder, emit C from the (unscheduled, always-correct) reference and
   /// mark the result Degraded instead of failing the job.
   bool FallbackReference = false;
-
-  /// Install a per-job analysis::EffectSnapshot for the duration of the
-  /// build, so each scheduling rewrite in the job's chain re-analyzes
-  /// only the dirty region it touched. Incremental and full analysis
-  /// pose identical solver queries (the snapshot caches no verdicts), so
-  /// this is purely a time optimization; the hit/miss counters land on
-  /// the JobResult.
-  bool UseEffectSnapshot = true;
 
   /// Which execution backend lowers the job (backend::findBackend name).
   /// Every backend's module source is byte-identical generated C, so the
@@ -136,16 +127,8 @@ struct JobResult {
   uint64_t SimplifyDecided = 0;
   uint64_t FastPathHits = 0;
 
-  /// Per-job query-cache activity (thread-exact deltas). CrossJobHits is
-  /// the subset of hits served from entries another compile inserted —
-  /// the cross-compile amortization the VarId-canonical keys exist for.
-  uint64_t QueryCacheHits = 0;
-  uint64_t QueryCacheMisses = 0;
-  uint64_t QueryCacheCrossJobHits = 0;
-
-  /// Incremental re-analysis activity of the job's EffectSnapshot (zero
-  /// when SessionOptions::UseEffectSnapshot is off): subtree summaries
-  /// served from the snapshot vs (re)derived.
+  /// Incremental re-analysis activity of the job's EffectSnapshot:
+  /// subtree summaries served from the snapshot vs (re)derived.
   uint64_t IncrementalHits = 0;
   uint64_t IncrementalMisses = 0;
 

@@ -10,7 +10,6 @@
 #include "backend/Backend.h"
 #include "driver/CompileSession.h"
 #include "driver/KernelSuite.h"
-#include "smt/QueryCache.h"
 #include "smt/Solver.h"
 #include "smt/Term.h"
 #include "support/Deadline.h"
@@ -60,6 +59,11 @@ struct Server::Connection {
   std::mutex WriteMu;
   std::mutex ClientMu;
   std::string Client; ///< tenant identity, bound by the hello op
+  /// Admitted jobs whose response has not been written yet, and when the
+  /// last response was written. A peer waiting on a job is not idle,
+  /// however long the job runs; its idle time starts at our last answer.
+  std::atomic<unsigned> InFlight{0};
+  std::atomic<int64_t> LastReplyMillis{0};
 
   std::string client() {
     std::lock_guard<std::mutex> Lock(ClientMu);
@@ -185,6 +189,7 @@ void Server::stop(int64_t GraceMillis) {
     Json R = Json::object();
     R.set("id", J.Id).set("ok", false).set("status", "shutdown");
     respond(J.Conn, std::move(R));
+    --J.Conn->InFlight;
     recordDone(J.Client + "|" + J.Id, "shutdown");
     Admission.release(J.Client);
   }
@@ -266,9 +271,19 @@ void Server::acceptLoop() {
 }
 
 void Server::connectionLoop(ConnectionRef C) {
+  int IdleMillis = Opts.IdleTimeoutMillis;
   for (;;) {
-    FrameResult F =
-        readFrame(C->Fd, Opts.IdleTimeoutMillis, Opts.FrameTimeoutMillis);
+    FrameResult F = readFrame(C->Fd, IdleMillis, Opts.FrameTimeoutMillis);
+    IdleMillis = Opts.IdleTimeoutMillis;
+    if (F.Status == FrameStatus::IdleTimeout) {
+      if (C->InFlight.load() > 0)
+        continue; // quiet because it awaits our answer, not gone
+      int64_t Quiet = nowMillis() - C->LastReplyMillis.load();
+      if (Quiet < IdleMillis) {
+        IdleMillis -= static_cast<int>(Quiet);
+        continue;
+      }
+    }
     if (F.Status == FrameStatus::Eof || F.Status == FrameStatus::IdleTimeout)
       break; // clean hangup, or the peer went quiet: just close
     if (!F.ok()) {
@@ -321,6 +336,7 @@ void Server::connectionLoop(ConnectionRef C) {
 void Server::respond(const ConnectionRef &C, Json Response) {
   std::lock_guard<std::mutex> Lock(C->WriteMu);
   FrameResult W = writeFrame(C->Fd, Response.dump());
+  C->LastReplyMillis = nowMillis();
   std::lock_guard<std::mutex> SLock(StatsMu);
   if (W.ok())
     ++TheStats.Responses;
@@ -427,6 +443,7 @@ void Server::handleRequest(ConnectionRef C, Json Request) {
   J.DeadlineAtMillis = Now + DeadlineMs;
 
   journalAppend('S', Client + "|" + Id);
+  ++J.Conn->InFlight;
   {
     std::lock_guard<std::mutex> Lock(QueueMu);
     Queue.emplace(J.DeadlineAtMillis, std::move(J));
@@ -504,6 +521,7 @@ void Server::runJob(const QueuedJob &J) {
     recordDone(Key, R.getString("status", "?"));
   }
   respond(J.Conn, std::move(R));
+  --J.Conn->InFlight;
   journalAppend('D', Key);
   Admission.release(J.Client);
 }
@@ -773,9 +791,7 @@ Json Server::statsJson() const {
   {
     smt::Solver::Stats SS = smt::solverGlobalStats();
     Json S = Json::object();
-    S.set("queries", SS.NumQueries)
-        .set("cache_hits", SS.CacheHits)
-        .set("unknown", SS.NumUnknown);
+    S.set("queries", SS.NumQueries).set("unknown", SS.NumUnknown);
     R.set("solver", std::move(S));
   }
 
@@ -788,10 +804,10 @@ Json Server::statsJson() const {
     R.set("jit_cache", std::move(S));
   }
 
-  // Long-lived-process gauges: the term interner and the solver query
-  // cache are process-wide and survive across requests; a daemon that is
-  // slowly getting slower shows up here first (live nodes / cached keys
-  // climbing, hit rates falling).
+  // Long-lived-process gauges: the term interner and the effect cache are
+  // process-wide and survive across requests; a daemon that is slowly
+  // getting slower shows up here first (live nodes climbing, hit rates
+  // falling).
   {
     smt::TermInternerStats TS = smt::termInternerStats();
     Json S = Json::object();
@@ -800,21 +816,6 @@ Json Server::statsJson() const {
         .set("misses", static_cast<int64_t>(TS.Misses))
         .set("flushes", static_cast<int64_t>(TS.Flushes));
     R.set("term_interner", std::move(S));
-  }
-  {
-    smt::QueryCacheStats QS = smt::solverQueryCacheStats();
-    Json S = Json::object();
-    S.set("size", static_cast<int64_t>(QS.Size))
-        .set("insertions", static_cast<int64_t>(QS.Insertions))
-        .set("evictions", static_cast<int64_t>(QS.Evictions))
-        .set("uncacheable", static_cast<int64_t>(QS.Uncacheable))
-        .set("hits", static_cast<int64_t>(QS.Hits))
-        .set("misses", static_cast<int64_t>(QS.Misses))
-        // The warm-daemon currency: verdicts one request reused from a
-        // different request's compile (VarId-canonical keys make these
-        // possible across tenants and parses).
-        .set("cross_job_hits", static_cast<int64_t>(QS.CrossJobHits));
-    R.set("query_cache", std::move(S));
   }
   {
     analysis::EffectCacheStats ES = analysis::effectCacheStats();

@@ -8,7 +8,6 @@
 
 #include "smt/Cooper.h"
 #include "smt/Prenex.h"
-#include "smt/QueryCache.h"
 #include "smt/Simplify.h"
 
 #include "support/Deadline.h"
@@ -31,7 +30,6 @@ std::atomic<uint64_t> &defaultBudgetStorage() {
 struct ThreadDefaults {
   bool Active = false;
   uint64_t Budget = 0;
-  bool UseCache = true;
 };
 thread_local ThreadDefaults TLDefaults;
 
@@ -46,8 +44,6 @@ struct GlobalStats {
   std::atomic<uint64_t> NumUnknownBudget{0};
   std::atomic<uint64_t> NumUnknownStructural{0};
   std::atomic<uint64_t> NumUnknownTimeout{0};
-  std::atomic<uint64_t> CacheHits{0};
-  std::atomic<uint64_t> CacheMisses{0};
   std::atomic<uint64_t> NumLiterals{0};
   std::atomic<uint64_t> SimplifyConstFoldHits{0};
   std::atomic<uint64_t> SimplifyConstFoldMisses{0};
@@ -85,8 +81,6 @@ template <typename FnT> void forEachCounter(GlobalStats &G, FnT Fn) {
   Fn(&Solver::Stats::NumUnknownBudget, G.NumUnknownBudget);
   Fn(&Solver::Stats::NumUnknownStructural, G.NumUnknownStructural);
   Fn(&Solver::Stats::NumUnknownTimeout, G.NumUnknownTimeout);
-  Fn(&Solver::Stats::CacheHits, G.CacheHits);
-  Fn(&Solver::Stats::CacheMisses, G.CacheMisses);
   Fn(&Solver::Stats::NumLiterals, G.NumLiterals);
   Fn(&Solver::Stats::SimplifyConstFoldHits, G.SimplifyConstFoldHits);
   Fn(&Solver::Stats::SimplifyConstFoldMisses, G.SimplifyConstFoldMisses);
@@ -151,23 +145,15 @@ void exo::smt::setDefaultMaxLiterals(uint64_t Budget) {
                                std::memory_order_relaxed);
 }
 
-bool exo::smt::defaultUseQueryCache() {
-  return TLDefaults.Active ? TLDefaults.UseCache : true;
-}
-
-ScopedSolverDefaults::ScopedSolverDefaults(uint64_t MaxLiterals,
-                                           bool UseQueryCache)
-    : PrevActive(TLDefaults.Active), PrevBudget(TLDefaults.Budget),
-      PrevUseCache(TLDefaults.UseCache) {
+ScopedSolverDefaults::ScopedSolverDefaults(uint64_t MaxLiterals)
+    : PrevActive(TLDefaults.Active), PrevBudget(TLDefaults.Budget) {
   TLDefaults.Active = true;
   TLDefaults.Budget = MaxLiterals == 0 ? 1 : MaxLiterals;
-  TLDefaults.UseCache = UseQueryCache;
 }
 
 ScopedSolverDefaults::~ScopedSolverDefaults() {
   TLDefaults.Active = PrevActive;
   TLDefaults.Budget = PrevBudget;
-  TLDefaults.UseCache = PrevUseCache;
 }
 
 /// Closes the free variables of \p F with the given quantifier; boolean
@@ -204,12 +190,11 @@ SolverResult Solver::decide(TermRef Closed) {
   };
   Bump(&Stats::NumQueries, G.NumQueries);
 
-  // Fault-injection sites, ahead of the cache so an injected fault can
-  // never be masked by a hit. An injected timeout models a wedged query:
-  // it cooperatively burns the thread's deadline (bounded when there is
-  // none) before reporting Unknown{timeout}; an injected budget-Unknown
-  // returns immediately with the budget verdict so retry policies can be
-  // exercised deterministically.
+  // Fault-injection sites, ahead of any solving. An injected timeout
+  // models a wedged query: it cooperatively burns the thread's deadline
+  // (bounded when there is none) before reporting Unknown{timeout}; an
+  // injected budget-Unknown returns immediately with the budget verdict
+  // so retry policies can be exercised deterministically.
   support::FaultInjector &Inj = support::FaultInjector::instance();
   if (Inj.enabled()) {
     if (Inj.shouldFire(support::Fault::SolverTimeout)) {
@@ -235,9 +220,7 @@ SolverResult Solver::decide(TermRef Closed) {
     }
   }
 
-  // Preprocessing pipeline, ahead of the cache: a query decided here
-  // costs no key computation and no budget, and the cache key below is
-  // computed on the *simplified* term so more alpha-variants collide.
+  // Preprocessing pipeline: a query decided here costs no budget.
   SimplifyConfig Cfg = simplifyConfig();
   SimplifyOutcome SO = simplifyQuery(Closed);
   if (Cfg.ConstFold)
@@ -258,25 +241,9 @@ SolverResult Solver::decide(TermRef Closed) {
     Bump(&Stats::SimplifyDecided, G.SimplifyDecided);
     return SO.Simplified->boolValue() ? SolverResult::Yes : SolverResult::No;
   }
-  TermRef Query = SO.Simplified;
-
-  // Consult the process-wide memo table. A hit returns exactly what the
-  // cold decision procedure returned for an alpha-equivalent query;
-  // Unknown verdicts are never stored, so budget changes always re-solve.
-  bool UseCache = Opts.UseQueryCache && queryCacheEnabled();
-  std::string Key;
-  if (UseCache) {
-    Key = canonicalQueryKey(Query);
-    SolverResult Cached;
-    if (queryCacheLookup(Key, Cached)) {
-      Bump(&Stats::CacheHits, G.CacheHits);
-      return Cached;
-    }
-    Bump(&Stats::CacheMisses, G.CacheMisses);
-  }
 
   Budget B(Opts.MaxLiterals);
-  PrenexResult P = prenex(Query, B);
+  PrenexResult P = prenex(SO.Simplified, B);
   Decision D = B.exceeded() ? Decision::Unknown : decideClosed(P, B);
   if (B.spent())
     Bump(&Stats::NumLiterals, G.NumLiterals, B.spent());
@@ -284,18 +251,10 @@ SolverResult Solver::decide(TermRef Closed) {
     Bump(&Stats::CooperReorders, G.CooperReorders, B.reorders());
   if (B.earlyExits())
     Bump(&Stats::CooperEarlyExits, G.CooperEarlyExits, B.earlyExits());
-  switch (D) {
-  case Decision::True:
-  case Decision::False: {
-    SolverResult R =
-        D == Decision::True ? SolverResult::Yes : SolverResult::No;
-    if (UseCache && !Key.empty())
-      queryCacheInsert(Key, R);
-    return R;
-  }
-  case Decision::Unknown:
-    break;
-  }
+  if (D == Decision::True)
+    return SolverResult::Yes;
+  if (D == Decision::False)
+    return SolverResult::No;
   Bump(&Stats::NumUnknown, G.NumUnknown);
   if (B.timedOut()) {
     Bump(&Stats::NumUnknownTimeout, G.NumUnknownTimeout);

@@ -30,18 +30,14 @@ enum class SolverResult { Yes, No, Unknown };
 uint64_t defaultMaxLiterals();
 void setDefaultMaxLiterals(uint64_t Budget);
 
-/// Default for SolverOptions::UseQueryCache; true unless a thread-scoped
-/// override says otherwise.
-bool defaultUseQueryCache();
-
-/// RAII override of the solver defaults for the current thread only.
-/// Compile sessions install one so solvers constructed anywhere in the
-/// scheduling pipeline pick up the session's budget, while sessions on
+/// RAII override of the default literal budget for the current thread
+/// only. Compile sessions install one so solvers constructed anywhere in
+/// the scheduling pipeline pick up the session's budget, while sessions on
 /// other threads keep their own. Nests; the destructor restores the
 /// previous scope.
 class ScopedSolverDefaults {
 public:
-  ScopedSolverDefaults(uint64_t MaxLiterals, bool UseQueryCache);
+  explicit ScopedSolverDefaults(uint64_t MaxLiterals);
   ~ScopedSolverDefaults();
   ScopedSolverDefaults(const ScopedSolverDefaults &) = delete;
   ScopedSolverDefaults &operator=(const ScopedSolverDefaults &) = delete;
@@ -49,16 +45,12 @@ public:
 private:
   bool PrevActive;
   uint64_t PrevBudget;
-  bool PrevUseCache;
 };
 
 /// Tuning knobs. MaxLiterals bounds the total number of literals the
-/// elimination pipeline may create for a single query. UseQueryCache lets a
-/// single solver opt out of the process-wide memo table (see QueryCache.h);
-/// the table also has a global enable switch.
+/// elimination pipeline may create for a single query.
 struct SolverOptions {
   uint64_t MaxLiterals = defaultMaxLiterals();
-  bool UseQueryCache = defaultUseQueryCache();
 };
 
 /// Decision procedure for quantified linear integer arithmetic.
@@ -83,8 +75,7 @@ public:
   /// or bound-set overflow — genuine non-quasi-affine fallout that no
   /// budget will fix), and NumUnknownTimeout (the thread's deadline passed
   /// mid-query; see support/Deadline.h — neither budget nor structure is
-  /// implicated, the query was cancelled). Cache counters track the
-  /// process-wide query cache.
+  /// implicated, the query was cancelled).
   /// Preprocessing counters (DESIGN.md, "Solver preprocessing"): each
   /// enabled pipeline stage counts a hit when it changed the query and a
   /// miss when it left it alone; SimplifyDecided counts queries reduced
@@ -99,8 +90,6 @@ public:
     uint64_t NumUnknownBudget = 0;
     uint64_t NumUnknownStructural = 0;
     uint64_t NumUnknownTimeout = 0;
-    uint64_t CacheHits = 0;
-    uint64_t CacheMisses = 0;
     uint64_t NumLiterals = 0;
     uint64_t SimplifyConstFoldHits = 0;
     uint64_t SimplifyConstFoldMisses = 0;

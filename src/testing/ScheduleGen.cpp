@@ -921,9 +921,8 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
 /// perturbs NumLiterals — Cooper's variable order breaks ties by id — and,
 /// through it, the budget-overflow breakdown. The counters kept here are
 /// a function of the queries posed, not of variable numbering: NumQueries
-/// is bumped before the query cache is consulted, SimplifyDecided is
-/// decided on the structure of the (canonical) query, and the fast-path
-/// counters on the effect sets alone.
+/// counts every query, SimplifyDecided is decided on the structure of the
+/// query, and the fast-path counters on the effect sets alone.
 struct QueryProfile {
   uint64_t NumQueries = 0;
   uint64_t SimplifyDecided = 0;

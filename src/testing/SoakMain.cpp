@@ -531,8 +531,6 @@ int runBench(const SoakFlags &F) {
       if (Expected<Json> S = C->call(SReq, 10000)) {
         if (const Json *TI = S->get("term_interner"))
           Gauges += " terms=" + TI->dump();
-        if (const Json *QC = S->get("query_cache"))
-          Gauges += " qcache=" + QC->dump();
       }
       std::fprintf(stderr, "bench: %s client=%lld ms server=%s ms%s\n",
                    Id.c_str(), static_cast<long long>(T1 - T0),

@@ -151,10 +151,6 @@ void writeJson(const std::string &Path, const TuneOptions &O,
       Out << "  \"best_vs_handwritten\": "
           << R.Best.Eval.Score / R.Handwritten.Score << ",\n";
   }
-  Out << "  \"query_cache\": {\"hits\": " << R.Stats.QueryCacheHits
-      << ", \"misses\": " << R.Stats.QueryCacheMisses
-      << ", \"cross_job_hits\": " << R.Stats.QueryCacheCrossJobHits
-      << "},\n";
   Out << "  \"effect_cache\": {\"hits\": " << R.Stats.EffectHits
       << ", \"cross_compile_hits\": " << R.Stats.EffectCrossCompileHits
       << "},\n";
@@ -205,11 +201,11 @@ void printResult(const TuneOptions &O, const TuneResult &R) {
                   R.Best.Eval.Score / R.Handwritten.Score);
     std::printf("\n");
   }
-  std::printf("  %llu candidates in %.0f ms (%.2f/s); query cache: %llu "
-              "cross-job hits; jit: %llu compiles, %llu hits\n",
+  std::printf("  %llu candidates in %.0f ms (%.2f/s); effect cache: %llu "
+              "cross-compile hits; jit: %llu compiles, %llu hits\n",
               (unsigned long long)R.Stats.Tried, R.Stats.WallMillis,
               R.Stats.CandidatesPerSec,
-              (unsigned long long)R.Stats.QueryCacheCrossJobHits,
+              (unsigned long long)R.Stats.EffectCrossCompileHits,
               (unsigned long long)R.Stats.JitCompiles,
               (unsigned long long)R.Stats.JitHits);
 }

@@ -8,7 +8,6 @@
 
 #include "analysis/EffectCache.h"
 #include "backend/Backend.h"
-#include "smt/QueryCache.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -42,16 +41,13 @@ std::string keyOf(const std::vector<ScheduleStep> &Trace) {
   return K;
 }
 
-/// Evaluates every candidate of \p Pop in parallel. Each evaluation runs
-/// under its own query-cache job, so schedule-analysis verdicts one
-/// candidate proves are counted as cross-job hits when siblings reuse
-/// them. Results land in the candidates themselves; no draw of the
-/// search RNG happens here, so the fan-out cannot perturb determinism.
+/// Evaluates every candidate of \p Pop in parallel. Results land in the
+/// candidates themselves; no draw of the search RNG happens here, so the
+/// fan-out cannot perturb determinism.
 void evaluateAll(std::vector<Candidate> &Pop, const SearchSpace &Space,
                  CostModel &CM, support::ThreadPool &Pool) {
   for (Candidate &C : Pop) {
     Pool.submit([&C, &Space, &CM] {
-      smt::ScopedQueryJob Job;
       LenientApplyResult A = applyTraceLenient(Space.Algorithm, C.Trace);
       C.Applied = std::move(A.Applied);
       C.Rejected = A.Rejected;
@@ -86,7 +82,6 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
 
   ++GRunsStarted;
   double T0 = nowMillis();
-  smt::QueryCacheStats Query0 = smt::solverQueryCacheStats();
   analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
   backend::JitBackend::CacheStats Jit0 = backend::JitBackend::cacheStats();
 
@@ -98,7 +93,6 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
   // Score the expert baseline first: it is the bar the report compares
   // against, and its verdict does not depend on the search.
   if (Space->Handwritten) {
-    smt::ScopedQueryJob Job;
     Out.Handwritten = CM.evaluate(Space->Handwritten);
     Out.HaveHandwritten = Out.Handwritten.Ok;
   }
@@ -201,12 +195,8 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
     }
   }
 
-  smt::QueryCacheStats Query1 = smt::solverQueryCacheStats();
   analysis::EffectCacheStats Eff1 = analysis::effectCacheStats();
   backend::JitBackend::CacheStats Jit1 = backend::JitBackend::cacheStats();
-  Out.Stats.QueryCacheHits = Query1.Hits - Query0.Hits;
-  Out.Stats.QueryCacheMisses = Query1.Misses - Query0.Misses;
-  Out.Stats.QueryCacheCrossJobHits = Query1.CrossJobHits - Query0.CrossJobHits;
   Out.Stats.EffectHits = Eff1.Hits - Eff0.Hits;
   Out.Stats.EffectCrossCompileHits =
       Eff1.CrossCompileHits - Eff0.CrossCompileHits;

@@ -15,10 +15,9 @@
 /// wrong answers are all priced the same way: the candidate is dead.
 ///
 /// Parallelism and determinism: candidate evaluations fan out over a
-/// work-stealing pool — each under its own smt::ScopedQueryJob, so
-/// solver-cache reuse between candidates shows up as cross-job hits —
-/// while every random draw happens serially on the driver thread before
-/// the fan-out. Same seed, same result, at any thread count.
+/// work-stealing pool, while every random draw happens serially on the
+/// driver thread before the fan-out. Same seed, same result, at any
+/// thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +60,6 @@ struct TuneStats {
   unsigned GenerationsRun = 0;
   double WallMillis = 0;
   double CandidatesPerSec = 0;
-  uint64_t QueryCacheHits = 0, QueryCacheMisses = 0;
-  uint64_t QueryCacheCrossJobHits = 0;
   uint64_t EffectHits = 0, EffectCrossCompileHits = 0;
   uint64_t JitCompiles = 0, JitHits = 0;
 };

@@ -20,7 +20,6 @@
 #include "backend/CodeGen.h"
 #include "frontend/Parser.h"
 #include "scheduling/Schedule.h"
-#include "smt/QueryCache.h"
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
 #include "support/ThreadPool.h"
@@ -100,8 +99,7 @@ TEST(ConcurrencyTest, InternerCanonicalizesAcrossThreads) {
 }
 
 /// The split-safety obligation every splitLoop(Perfect) poses, with fresh
-/// variables per call — the alpha-canonicalizing query cache is what makes
-/// repeats hit.
+/// variables per call.
 smt::SolverResult tileQuery(int64_t Factor) {
   using namespace exo::smt;
   Solver S;
@@ -114,26 +112,6 @@ smt::SolverResult tileQuery(int64_t Factor) {
   TermRef Distinct = ne(add(mul(Factor, mkVar(Io)), mkVar(Ii)),
                         add(mul(Factor, mkVar(Io2)), mkVar(Ii2)));
   return S.checkValid(implies(Bounds, Distinct));
-}
-
-TEST(ConcurrencyTest, QueryCacheParallelMatchesSerial) {
-  using namespace exo::smt;
-  clearSolverQueryCache();
-  std::vector<SolverResult> Expected;
-  for (int64_t F = 2; F < 10; ++F)
-    Expected.push_back(tileQuery(F));
-
-  std::atomic<unsigned> Mismatches{0};
-  onThreads([&](unsigned T) {
-    for (unsigned R = 0; R < Reps; ++R)
-      for (int64_t F = 2; F < 10; ++F)
-        if (tileQuery(F) != Expected[static_cast<size_t>(F - 2)])
-          Mismatches.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(Mismatches.load(), 0u);
-
-  QueryCacheStats QS = solverQueryCacheStats();
-  EXPECT_GT(QS.Hits, 0u) << "alpha-variant repeats should hit the cache";
 }
 
 TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
@@ -159,7 +137,7 @@ TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
 TEST(ConcurrencyTest, ParallelSchedulingEmitsBitIdenticalC) {
   // The end-to-end determinism claim: compile the same schedule on every
   // thread — each from its own freshly parsed proc, all banging the same
-  // interner/query-cache/effect-cache — and the generated C must be
+  // interner and effect cache — and the generated C must be
   // byte-for-byte the serial result.
   auto Compile = []() -> std::string {
     ProcRef P = parseGemm();
@@ -185,11 +163,9 @@ TEST(ConcurrencyTest, ScopedSolverDefaultsAreThreadLocal) {
   std::atomic<unsigned> Wrong{0};
   onThreads([&](unsigned T) {
     uint64_t Mine = 100 + T;
-    smt::ScopedSolverDefaults Defaults(Mine, /*UseQueryCache=*/T % 2 == 0);
+    smt::ScopedSolverDefaults Defaults(Mine);
     for (unsigned R = 0; R < Reps; ++R) {
       if (smt::defaultMaxLiterals() != Mine)
-        Wrong.fetch_add(1, std::memory_order_relaxed);
-      if (smt::defaultUseQueryCache() != (T % 2 == 0))
         Wrong.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::yield();
     }
@@ -233,7 +209,6 @@ TEST(ConcurrencyTest, SimplifyConfigTogglesAreRaceFree) {
   // stage is verdict-preserving, the tile-disjointness query must answer
   // Yes under every configuration it happens to observe.
   using namespace exo::smt;
-  clearSolverQueryCache();
   SimplifyConfig Saved = simplifyConfig();
   std::atomic<bool> Done{false};
   std::atomic<unsigned> Wrong{0};
@@ -274,19 +249,18 @@ TEST(ConcurrencyTest, GlobalSolverStatsAggregateAtomically) {
       (void)tileQuery(static_cast<int64_t>(2 + (R % 8)));
   };
   resetSolverGlobalStats();
-  clearSolverQueryCache();
   Workload();
   Solver::Stats Serial = solverGlobalStats();
   ASSERT_GT(Serial.NumQueries, 0u);
 
   resetSolverGlobalStats();
-  clearSolverQueryCache();
   onThreads([&](unsigned T) { Workload(); });
   Solver::Stats S = solverGlobalStats();
   EXPECT_EQ(S.NumQueries, NumThreads * Serial.NumQueries);
-  EXPECT_EQ(S.CacheHits + S.CacheMisses, Serial.NumQueries > 0
-                ? NumThreads * (Serial.CacheHits + Serial.CacheMisses)
-                : 0);
+  EXPECT_EQ(S.SimplifyDecided, NumThreads * Serial.SimplifyDecided);
+  EXPECT_EQ(S.SimplifyConstFoldHits + S.SimplifyConstFoldMisses,
+            NumThreads * (Serial.SimplifyConstFoldHits +
+                          Serial.SimplifyConstFoldMisses));
 }
 
 } // namespace

@@ -225,7 +225,6 @@ TEST(RetryPolicyTest, BudgetUnknownRetriedWithEscalatedBudgetSucceeds) {
   ScopedSimplifyOff Off;
   SessionOptions Opts;
   Opts.MaxLiterals = 1; // starve the first attempt
-  Opts.UseQueryCache = false;
   Opts.MaxRetries = 1;
   Opts.RetryBudgetFactor = smt::defaultMaxLiterals();
   JobResult R = CompileSession(Opts).run(stagedGemmJob());
@@ -247,7 +246,6 @@ TEST(RetryPolicyTest, EscalationProbesFailedQueryBeforeFullRerun) {
   ScopedSimplifyOff Off;
   SessionOptions Opts;
   Opts.MaxLiterals = 1;
-  Opts.UseQueryCache = false;
   Opts.MaxRetries = 1;
   Opts.RetryBudgetFactor = smt::defaultMaxLiterals();
   JobResult R = CompileSession(Opts).run(stagedGemmJob());
@@ -263,7 +261,6 @@ TEST(RetryPolicyTest, ProbeExhaustionSkipsFullRerun) {
   ScopedSimplifyOff Off;
   SessionOptions Opts;
   Opts.MaxLiterals = 1;
-  Opts.UseQueryCache = false;
   Opts.MaxRetries = 3;
   Opts.RetryBudgetFactor = 1; // escalation that never actually grows
   JobResult R = CompileSession(Opts).run(stagedGemmJob());
@@ -284,7 +281,6 @@ TEST(RetryPolicyTest, PipelineDecidesStarvedQueriesOutright) {
   // pipeline existed.)
   SessionOptions Opts;
   Opts.MaxLiterals = 1;
-  Opts.UseQueryCache = false;
   JobResult R = CompileSession(Opts).run(stagedGemmJob());
   EXPECT_TRUE(R.Ok) << R.ErrorMessage;
   EXPECT_EQ(R.Retries, 0u);
@@ -295,7 +291,6 @@ TEST(RetryPolicyTest, BudgetUnknownWithoutRetriesStaysFailed) {
   ScopedSimplifyOff Off;
   SessionOptions Opts;
   Opts.MaxLiterals = 1;
-  Opts.UseQueryCache = false;
   JobResult R = CompileSession(Opts).run(stagedGemmJob());
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Retries, 0u);

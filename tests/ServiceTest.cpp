@@ -529,7 +529,11 @@ TEST(ServerTest, BreakerTripsJitToCsourceAndRecovers) {
   O.Workers = 1;
   O.Breaker.FailureThreshold = 2;
   O.Breaker.SuccessThreshold = 1;
-  O.Breaker.InitialBackoffMillis = 150;
+  // The backoff must outlast the csource fallback of the request that
+  // trips the breaker plus the next request's dispatch, or that request
+  // already finds the breaker half-open. These fallbacks take ~80 ms on
+  // an idle machine, in ASan builds too; 2 s leaves room for load.
+  O.Breaker.InitialBackoffMillis = 2000;
   Server S(O);
   ASSERT_TRUE(S.start());
   auto C = ClientConnection::connectTcp(S.port());
@@ -550,6 +554,8 @@ TEST(ServerTest, BreakerTripsJitToCsourceAndRecovers) {
   Json R1 = OracleCall(1);
   EXPECT_EQ(R1.getString("backend"), "csource") << R1.dump();
   Json R2 = OracleCall(2);
+  // The breaker tripped while R2 was being served, so no later than now.
+  auto TrippedBy = std::chrono::steady_clock::now();
   EXPECT_EQ(R2.getString("backend"), "csource");
   EXPECT_EQ(S.breakerState(), BreakerState::Open);
   EXPECT_GE(S.breakerStats().Trips, 1u);
@@ -561,13 +567,44 @@ TEST(ServerTest, BreakerTripsJitToCsourceAndRecovers) {
   // After the backoff the half-open probe runs on the JIT again; the
   // injected faults are exhausted (*2), so it succeeds and the breaker
   // closes.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::this_thread::sleep_until(
+      TrippedBy +
+      std::chrono::milliseconds(O.Breaker.InitialBackoffMillis + 50));
   Json R4 = OracleCall(4);
   EXPECT_EQ(R4.getString("backend"), "jit") << R4.dump();
   EXPECT_EQ(S.breakerState(), BreakerState::Closed);
   EXPECT_GE(S.breakerStats().Recoveries, 1u);
 
   support::FaultInjector::instance().reset();
+  S.stop();
+}
+
+TEST(ServerTest, SlowJobKeepsItsConnectionPastTheIdleDeadline) {
+  // A client waiting for its own job is not idle: the idle deadline must
+  // not close the connection under a job that outlasts it, or the next
+  // request on the connection is reset.
+  ServerOptions O = testServerOptions();
+  O.IdleTimeoutMillis = 300;
+  Server S(O);
+  ASSERT_TRUE(S.start());
+  auto C = ClientConnection::connectTcp(S.port());
+  ASSERT_TRUE(C);
+
+  // The injected solver timeout holds the compile until its 1500 ms
+  // deadline, five idle deadlines long.
+  support::FaultInjector::instance().configure("solver-timeout*1", 5).take();
+  Json Slow = Json::object();
+  Slow.set("op", "compile")
+      .set("id", "slow")
+      .set("kernel", "fig4a_gemmini_matmul")
+      .set("deadline_ms", 1500);
+  Json R = callOk(*C, Slow);
+  EXPECT_EQ(R.getString("id"), "slow") << R.dump();
+  support::FaultInjector::instance().reset();
+
+  Json Stats = Json::object();
+  Stats.set("op", "stats");
+  EXPECT_TRUE(callOk(*C, Stats).getBool("ok"));
   S.stop();
 }
 
@@ -755,7 +792,7 @@ TEST(ServerTest, TermTrimKeepsInternerBoundedWithoutChangingOutputs) {
   StatsReq.set("op", "stats");
   Json SR = callOk(*C, StatsReq);
   ASSERT_TRUE(SR.get("term_interner") != nullptr);
-  ASSERT_TRUE(SR.get("query_cache") != nullptr);
+  ASSERT_TRUE(SR.get("effect_cache") != nullptr);
   EXPECT_GE(SR.get("server")->getInt("term_trims"), Reps - 1);
 
   S.stop();
