@@ -56,7 +56,7 @@ struct CanonRecord {
 /// The cache is sharded by statement-node address: concurrent compile
 /// sessions analyze disjoint procedures, so their statement nodes land in
 /// different shards and extraction proceeds without lock contention. The
-/// loop-variable id map is the one cross-shard structure (an insert in any
+/// loop-variable id set is the one cross-shard structure (an insert in any
 /// shard must recognize stable loop variables of *enclosing* loops, which
 /// may live in other shards); it gets its own lock, always acquired after
 /// a shard lock — a fixed order, so no deadlock. The canonical index has
@@ -72,12 +72,13 @@ struct EffectCache {
   static constexpr size_t NumShards = 8; // power of two
   CacheShard Shards[NumShards];
 
-  // Ids of loop variables minted by stableLoopVar, mapped to the For node
-  // that pinned them; they are stable (not per-extraction), so the leak
-  // check must not reject them, and the canonical serializer ties them to
-  // their node. Never flushed: one entry per distinct For node analyzed.
+  // Ids of the loop variables stableLoopVar pinned; they are stable (not
+  // per-extraction), so the leak check must not reject them. A shard
+  // flush drops the ids its records pinned, so the set stays within the
+  // record cap; an in-flight insert still carrying a dropped id is then
+  // Uncacheable, never unsound.
   std::mutex LoopVarM;
-  std::unordered_map<unsigned, const Stmt *> LoopVarIds;
+  std::unordered_set<unsigned> LoopVarIds;
 
   // Canonical content index (cross-compile sharing).
   std::mutex CanonM;
@@ -127,6 +128,19 @@ bool computeStateInvariant(const StmtRef &S) {
   }
 }
 
+/// Empties a shard and unpins the loop variables its records pinned;
+/// caller holds the shard mutex (shard -> loop-var lock order).
+void flushShardLocked(CacheShard &C) {
+  EffectCache &E = EffectCache::get();
+  {
+    std::lock_guard<std::mutex> LvLock(E.LoopVarM);
+    for (const auto &Entry : C.Table)
+      if (Entry.second.HaveLoopVar)
+        E.LoopVarIds.erase(Entry.second.LoopVar.Id);
+  }
+  C.Table.clear();
+}
+
 /// Record accessors; caller holds the shard mutex. Every record pins its
 /// statement, so every path that creates one (the invariance memo, loop
 /// variable pinning, inserts) is bounded here: a full shard is flushed
@@ -138,7 +152,7 @@ StmtRecord &recordFor(CacheShard &C, const StmtRef &S) {
   if (It != C.Table.end())
     return It->second;
   if (C.Table.size() >= EffectCache::MaxEntriesPerShard) {
-    C.Table.clear();
+    flushShardLocked(C);
     ++C.Stats.Evictions;
   }
   StmtRecord &R = C.Table[S.get()];
@@ -761,7 +775,7 @@ smt::TermVar exo::analysis::stableLoopVar(const StmtRef &ForStmt) {
     R.LoopVar = smt::freshVar(ForStmt->name().name(), smt::Sort::Int);
     R.HaveLoopVar = true;
     std::lock_guard<std::mutex> LvLock(E.LoopVarM); // shard -> loop-var order
-    E.LoopVarIds.emplace(R.LoopVar.Id, ForStmt.get());
+    E.LoopVarIds.insert(R.LoopVar.Id);
   }
   return R.LoopVar;
 }
@@ -956,6 +970,10 @@ EffectCacheStats exo::analysis::effectCacheStats() {
     Sum.Evictions += C.Stats.Evictions;
     Sum.Size += C.Table.size();
   }
+  {
+    std::lock_guard<std::mutex> Lock(E.LoopVarM);
+    Sum.LoopVars = E.LoopVarIds.size();
+  }
   Sum.CrossCompileHits = E.CrossCompileHits.load(std::memory_order_relaxed);
   Sum.CanonIndexed = E.CanonIndexed.load(std::memory_order_relaxed);
   Sum.CanonUnshareable = E.CanonUnshareable.load(std::memory_order_relaxed);
@@ -970,7 +988,7 @@ void exo::analysis::clearEffectCache() {
   EffectCache &E = EffectCache::get();
   for (CacheShard &C : E.Shards) {
     std::lock_guard<std::mutex> Lock(C.M);
-    C.Table.clear();
+    flushShardLocked(C);
   }
   std::lock_guard<std::mutex> Lock(E.CanonM);
   E.Canon.clear();

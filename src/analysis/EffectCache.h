@@ -64,6 +64,7 @@ struct EffectCacheStats {
   uint64_t CanonUnshareable = 0; ///< summaries not canonically indexable
   size_t Size = 0;               ///< statements currently cached
   size_t CanonSize = 0;          ///< canonical records currently stored
+  size_t LoopVars = 0;           ///< pinned loop variables currently known
 };
 
 /// True iff extracting \p S can neither read nor write dataflow state: no

@@ -7,6 +7,7 @@
 #include "driver/BatchDriver.h"
 
 #include "analysis/EffectCache.h"
+#include "support/Deadline.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 using namespace exo;
 using namespace exo::driver;
+using support::nowMillis;
 
 namespace {
 
@@ -29,12 +31,6 @@ struct JobTrack {
   std::atomic<int64_t> StartMillis{0};
   std::atomic<bool> Overdue{false};
 };
-
-int64_t nowMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 } // namespace
 

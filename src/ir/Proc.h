@@ -56,7 +56,7 @@ struct DirtyRegion {
   unsigned Begin = 0;         ///< first replaced statement in that block
   unsigned OldCount = 0;      ///< statements removed from the parent
   unsigned NewCount = 0;      ///< statements inserted in the derived proc
-  /// The scheduling operator that made the edit ("split", "stage_mem",
+  /// The scheduling operator that made the edit ("split", "stage",
   /// ...). Diagnostic only — cursor forwarding reports it when a rewrite
   /// invalidates a handle; analysis never branches on it.
   std::string Op;

@@ -79,7 +79,7 @@ Expected<ProcRef> exo::scheduling::configWriteAt(const ProcRef &P,
                                                  const ConfigRef &Cfg,
                                                  const std::string &Field,
                                                  const std::string &ValueSrc) {
-  ScopedOpName OpName("configwrite_at");
+  ScopedOpName OpName(ops::ConfigWrite);
   auto C = findStmts(*P, StmtPat);
   if (!C)
     return C.error();
@@ -98,7 +98,7 @@ Expected<ProcRef> exo::scheduling::configWriteRoot(const ProcRef &P,
                                                    const ConfigRef &Cfg,
                                                    const std::string &Field,
                                                    const std::string &ValueSrc) {
-  ScopedOpName OpName("configwrite_root");
+  ScopedOpName OpName(ops::ConfigWriteRoot);
   StmtCursor Top;
   Top.Begin = 0;
   Top.End = 0; // empty selection at the very start
@@ -117,7 +117,7 @@ Expected<ProcRef> exo::scheduling::bindConfig(const ProcRef &P,
                                               const std::string &ExprPat,
                                               const ConfigRef &Cfg,
                                               const std::string &Field) {
-  ScopedOpName OpName("bind_config");
+  ScopedOpName OpName(ops::BindConfig);
   auto C = findStmts(*P, StmtPat);
   if (!C)
     return C.error();

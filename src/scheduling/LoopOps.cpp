@@ -37,7 +37,7 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
                                              const std::string &OuterName,
                                              const std::string &InnerName,
                                              SplitTail Tail) {
-  ScopedOpName OpName("split");
+  ScopedOpName OpName(ops::Split);
   if (Factor <= 1)
     return makeError(Error::Kind::Scheduling, "split factor must be > 1");
   auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
@@ -82,7 +82,7 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
     smt::TermRef Divides =
         smt::mkAnd(HiV.Def, smt::eq(smt::mod(HiV.Val, Factor),
                                     smt::intConst(0)));
-    if (auto E = checkProved(Op.Ctx, Info.PathCond, Divides, "split", LoopPat,
+    if (auto E = checkProved(Op.Ctx, Info.PathCond, Divides, LoopPat,
                              "for " + Loop->name().name() + " in _: _",
                              "split(perfect): cannot prove " +
                                  std::to_string(Factor) + " divides " +
@@ -120,7 +120,7 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
                                                 const std::string &LoopPat) {
-  ScopedOpName OpName("reorder");
+  ScopedOpName OpName(ops::Reorder);
   auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
   if (!C)
     return C.error();
@@ -169,8 +169,7 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
   // Flipped pairs: x1 < x2 but y2 < y1.
   Premise = triAnd(Premise, TriBool::certain(smt::mkAnd(
                                 smt::lt(X1, X2), smt::lt(Y2, Y1))));
-  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), "reorder",
-                           LoopPat,
+  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), LoopPat,
                            "for " + OuterLoop->name().name() + " in _: for " +
                                InnerLoop->name().name() + " in _: _",
                            "reorder: loop iterations do not commute"))
@@ -183,7 +182,7 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
       seqEffects(extractExprReads(Ctx, Info.Pre, InnerLoop->lo()),
                  extractExprReads(Ctx, Info.Pre, InnerLoop->hi()));
   if (auto E = checkProved(Ctx, Info.PathCond, commutesCond(BoundReads, A1),
-                           "reorder", LoopPat,
+                           LoopPat,
                            "for " + InnerLoop->name().name() + " in _: _",
                            "reorder: inner bounds conflict with the body"))
     return *E;
@@ -197,7 +196,7 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
                                               const std::string &LoopPat) {
-  ScopedOpName OpName("unroll");
+  ScopedOpName OpName(ops::Unroll);
   auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
   if (!C)
     return C.error();
@@ -228,7 +227,7 @@ Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
 Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
                                                  const std::string &LoopPat,
                                                  int64_t Cut) {
-  ScopedOpName OpName("partition_loop");
+  ScopedOpName OpName(ops::Partition);
   auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
   if (!C)
     return C.error();
@@ -241,8 +240,7 @@ Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
   smt::TermRef Fits = smt::mkAnd(
       smt::mkAnd(LoV.Def, HiV.Def),
       smt::le(smt::add(LoV.Val, smt::intConst(Cut)), HiV.Val));
-  if (auto E = checkProved(Op.Ctx, Info.PathCond, Fits, "partition_loop",
-                           LoopPat,
+  if (auto E = checkProved(Op.Ctx, Info.PathCond, Fits, LoopPat,
                            "for " + Loop->name().name() + " in _: _",
                            "partition_loop: cannot prove lo + " +
                                std::to_string(Cut) + " <= hi"))
@@ -262,7 +260,7 @@ Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
                                               const std::string &LoopPat) {
-  ScopedOpName OpName("remove_loop");
+  ScopedOpName OpName(ops::Remove);
   auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
   if (!C)
     return C.error();
@@ -280,7 +278,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   smt::TermRef NonEmpty = smt::mkAnd(smt::mkAnd(LoV.Def, HiV.Def),
                                      smt::lt(LoV.Val, HiV.Val));
   if (auto E = checkProved(
-          Ctx, Info.PathCond, NonEmpty, "remove_loop", LoopPat,
+          Ctx, Info.PathCond, NonEmpty, LoopPat,
           "for " + Loop->name().name() + " in _: _",
           "remove_loop: cannot prove the loop runs at least once"))
     return *E;
@@ -290,8 +288,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   EffectSets A = extractBlock(Ctx, S1, Loop->body());
   FlowState S2 = Info.Pre;
   EffectSets A2 = extractBlock(Ctx, S2, Loop->body());
-  if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2),
-                           "remove_loop", LoopPat,
+  if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2), LoopPat,
                            "for " + Loop->name().name() + " in _: _",
                            "remove_loop: body is not provably idempotent"))
     return *E;
@@ -301,7 +298,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
                                              const std::string &LoopPat) {
-  ScopedOpName OpName("fuse_loop");
+  ScopedOpName OpName(ops::Fuse);
   auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
   if (!C)
     return C.error();
@@ -324,8 +321,7 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
   smt::TermRef SameBounds =
       smt::mkAnd({Lo1.Def, Lo2.Def, Hi1.Def, Hi2.Def,
                   smt::eq(Lo1.Val, Lo2.Val), smt::eq(Hi1.Val, Hi2.Val)});
-  if (auto E = checkProved(Ctx, Info.PathCond, SameBounds, "fuse_loop",
-                           LoopPat,
+  if (auto E = checkProved(Ctx, Info.PathCond, SameBounds, LoopPat,
                            "for " + L1->name().name() + " in _: _",
                            "fuse_loop: loop bounds are not provably equal"))
     return *E;
@@ -346,8 +342,7 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
   Premise = triAnd(Premise,
                    loopBoundsPremise(Ctx, Info.Pre, L2->lo(), L2->hi(), X2));
   Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
-  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), "fuse_loop",
-                           LoopPat,
+  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), LoopPat,
                            "for " + L1->name().name() + " in _: _",
                            "fuse_loop: moved iterations do not commute"))
     return *E;
@@ -367,7 +362,7 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::liftIf(const ProcRef &P,
                                           const std::string &IfPat) {
-  ScopedOpName OpName("lift_if");
+  ScopedOpName OpName(ops::LiftIf);
   auto C = findOneOfKind(*P, IfPat, StmtKind::If, "an if");
   if (!C)
     return C.error();

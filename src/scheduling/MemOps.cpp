@@ -60,7 +60,7 @@ private:
     if (Err)
       return;
     ScheduleErrorInfo Info;
-    Info.Op = "stage_mem";
+    Info.Op = currentOpName();
     Info.Loc = Loc;
     Info.SolverVerdict = V;
     Err = makeScheduleError(Error::Kind::Safety, "stage_mem: " + Msg,
@@ -241,7 +241,7 @@ Expected<ProcRef> exo::scheduling::stageMem(const ProcRef &P,
                                             const std::string &WindowSrc,
                                             const std::string &NewName,
                                             const std::string &Mem) {
-  ScopedOpName OpName("stage_mem");
+  ScopedOpName OpName(ops::Stage);
   auto C = findStmts(*P, StmtPat, Count);
   if (!C)
     return C.error();
@@ -411,7 +411,7 @@ StmtRef retypeStmt(const StmtRef &S, std::set<Sym> &Targets, ScalarKind K) {
 Expected<ProcRef> exo::scheduling::setMemory(const ProcRef &P,
                                              const std::string &Name,
                                              const std::string &Mem) {
-  ScopedOpName OpName("set_memory");
+  ScopedOpName OpName(ops::SetMemory);
   // Argument?
   for (size_t I = 0; I < P->args().size(); ++I) {
     if (P->args()[I].Name.name() == Name) {
@@ -436,7 +436,7 @@ Expected<ProcRef> exo::scheduling::setMemory(const ProcRef &P,
 Expected<ProcRef> exo::scheduling::setPrecision(const ProcRef &P,
                                                 const std::string &Name,
                                                 ScalarKind Precision) {
-  ScopedOpName OpName("set_precision");
+  ScopedOpName OpName(ops::SetPrecision);
   if (!isDataScalar(Precision))
     return makeError(Error::Kind::Scheduling,
                      "set_precision: not a data precision");

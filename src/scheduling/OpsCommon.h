@@ -106,18 +106,19 @@ Expected<StmtCursor> findOneOfKind(const ir::Proc &P,
 
 /// Discharges a safety condition under the premise. On success returns
 /// nullopt; on failure, a Safety error whose structured payload records
-/// the operator, the pattern/location it was working on, and the solver's
-/// verdict (No vs. Unknown-budget vs. Unknown-structural).
+/// the running operator (currentOpName), the pattern/location it was
+/// working on, and the solver's verdict (No vs. Unknown-budget vs.
+/// Unknown-structural).
 inline std::optional<Error>
 checkProved(analysis::AnalysisCtx &Ctx, const analysis::TriBool &Premise,
-            const smt::TermRef &Cond, const char *Op, std::string Pattern,
-            std::string Loc, std::string Msg) {
+            const smt::TermRef &Cond, std::string Pattern, std::string Loc,
+            std::string Msg) {
   ScheduleErrorInfo::Verdict V =
       analysis::dischargeUnderPremise(Ctx, Premise, Cond);
   if (V == ScheduleErrorInfo::Verdict::Yes)
     return std::nullopt;
   ScheduleErrorInfo Info;
-  Info.Op = Op;
+  Info.Op = currentOpName();
   Info.Pattern = std::move(Pattern);
   Info.Loc = std::move(Loc);
   Info.SolverVerdict = V;

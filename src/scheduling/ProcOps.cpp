@@ -82,6 +82,7 @@ Expected<StmtCursor> exo::scheduling::findOneOfKind(const Proc &P,
                                                     StmtKind K,
                                                     const char *What) {
   ScheduleErrorInfo Info;
+  Info.Op = currentOpName();
   Info.Pattern = Pattern;
   auto C = findStmts(P, Pattern);
   if (!C)
@@ -507,7 +508,7 @@ StmtRef simplifyStmt(const StmtRef &S) {
 } // namespace
 
 Expected<ProcRef> exo::scheduling::simplify(const ProcRef &P) {
-  ScopedOpName Op("simplify");
+  ScopedOpName Op(ops::Simplify);
   Block NewBody = simplifyBlock(P->body());
   if (NewBody.empty())
     NewBody.push_back(Stmt::pass());
@@ -515,7 +516,7 @@ Expected<ProcRef> exo::scheduling::simplify(const ProcRef &P) {
 }
 
 Expected<ProcRef> exo::scheduling::deletePass(const ProcRef &P) {
-  ScopedOpName Op("delete_pass");
+  ScopedOpName Op(ops::DeletePass);
   // simplifyBlock drops nothing but Pass among leaves; reuse a dedicated
   // small walker to remove only Pass statements.
   std::function<Block(const Block &)> Walk = [&](const Block &B) -> Block {
@@ -551,7 +552,7 @@ Expected<ProcRef> exo::scheduling::deletePass(const ProcRef &P) {
 
 Expected<ProcRef> exo::scheduling::inlineCall(const ProcRef &P,
                                               const std::string &CallPat) {
-  ScopedOpName Op("inline");
+  ScopedOpName Op(ops::Inline);
   auto C = findOneOfKind(*P, CallPat, StmtKind::Call, "a call");
   if (!C)
     return C.error();
@@ -564,7 +565,7 @@ Expected<ProcRef> exo::scheduling::inlineCall(const ProcRef &P,
 Expected<ProcRef> exo::scheduling::callEqv(const ProcRef &P,
                                            const std::string &CallPat,
                                            const ProcRef &NewCallee) {
-  ScopedOpName Op("call_eqv");
+  ScopedOpName Op(ops::CallEqv);
   auto C = findOneOfKind(*P, CallPat, StmtKind::Call, "a call");
   if (!C)
     return C.error();

@@ -67,7 +67,7 @@ Expected<ProcRef> exo::scheduling::tile2D(const Cursor &LoopI, int64_t TileI,
   if (!SI)
     return SI.error();
   if ((*SI)->kind() != StmtKind::For)
-    return notALoop("tile2d", LoopI);
+    return notALoop(ops::Tile2D, LoopI);
 
   // split I -- the tile row loop.
   auto P1 = splitLoop(LoopI, TileI, OuterI, InnerI, Tail);
@@ -90,7 +90,7 @@ Expected<ProcRef> exo::scheduling::tile2D(const Cursor &LoopI, int64_t TileI,
   if (!SJ)
     return SJ.error();
   if ((*SJ)->kind() != StmtKind::For)
-    return notALoop("tile2d", *CJ);
+    return notALoop(ops::Tile2D, *CJ);
 
   // split J -- the tile column loop.
   auto P2 = splitLoop(*CJ, TileJ, OuterJ, InnerJ, Tail);
@@ -239,7 +239,7 @@ Expected<ProcRef> exo::scheduling::autoDivide(const Cursor &Loop,
   if (!S)
     return S.error();
   if ((*S)->kind() != StmtKind::For)
-    return notALoop("auto_divide", Loop);
+    return notALoop(ops::AutoDivide, Loop);
   const ExprRef &Lo = (*S)->lo();
   const ExprRef &Hi = (*S)->hi();
   if (Lo->kind() != ExprKind::Const || Lo->intValue() != 0 ||

@@ -28,6 +28,43 @@ namespace scheduling {
 
 using ir::ProcRef;
 
+/// The one list of scheduling-operator names. Every spelling of an
+/// operator comes from here: the ScopedOpName each primitive installs
+/// (hence DirtyRegion::Op and its rejections' ScheduleErrorInfo::Op), the
+/// facade's step names below, the procedures' payloads (Procedures.h) and
+/// the trace tokens (testing/ScheduleGen.h), which persist in corpus files
+/// and tuner traces.
+namespace ops {
+inline constexpr const char *Split = "split";
+inline constexpr const char *Reorder = "reorder";
+inline constexpr const char *Unroll = "unroll";
+inline constexpr const char *Partition = "partition";
+inline constexpr const char *Remove = "remove";
+inline constexpr const char *Fuse = "fuse";
+inline constexpr const char *LiftIf = "lift_if";
+inline constexpr const char *ReorderStmts = "reorder_stmts";
+inline constexpr const char *MoveUp = "move_up";
+inline constexpr const char *Hoist = "hoist";
+inline constexpr const char *Fission = "fission";
+inline constexpr const char *LiftAlloc = "lift_alloc";
+inline constexpr const char *BindExpr = "bind_expr";
+inline constexpr const char *AddGuard = "add_guard";
+inline constexpr const char *DeletePass = "delete_pass";
+inline constexpr const char *ConfigWrite = "config_write";
+inline constexpr const char *ConfigWriteRoot = "configwrite_root";
+inline constexpr const char *BindConfig = "bind_config";
+inline constexpr const char *Stage = "stage";
+inline constexpr const char *SetMemory = "set_memory";
+inline constexpr const char *SetPrecision = "set_precision";
+inline constexpr const char *Inline = "inline";
+inline constexpr const char *CallEqv = "call_eqv";
+inline constexpr const char *Replace = "replace";
+inline constexpr const char *Simplify = "simplify";
+inline constexpr const char *Tile2D = "tile2d";
+inline constexpr const char *AutoDivide = "auto_divide";
+inline constexpr const char *StageVec = "stage_vec";
+} // namespace ops
+
 /// How splitLoop handles iteration counts not divisible by the factor.
 enum class SplitTail {
   Guard,   ///< guard the body with a bounds test
@@ -248,81 +285,81 @@ public:
   Schedule &split(const std::string &Loop, int64_t Factor,
                   const std::string &OuterName, const std::string &InnerName,
                   SplitTail Tail = SplitTail::Guard) {
-    return step("split", loopPattern(Loop), [&](const ProcRef &P) {
+    return step(ops::Split, loopPattern(Loop), [&](const ProcRef &P) {
       return splitLoop(P, loopPattern(Loop), Factor, OuterName, InnerName,
                        Tail);
     });
   }
   Schedule &reorder(const std::string &Loop) {
-    return step("reorder", loopPattern(Loop), [&](const ProcRef &P) {
+    return step(ops::Reorder, loopPattern(Loop), [&](const ProcRef &P) {
       return reorderLoops(P, loopPattern(Loop));
     });
   }
   Schedule &unroll(const std::string &Loop) {
-    return step("unroll", loopPattern(Loop), [&](const ProcRef &P) {
+    return step(ops::Unroll, loopPattern(Loop), [&](const ProcRef &P) {
       return unrollLoop(P, loopPattern(Loop));
     });
   }
   Schedule &partition(const std::string &Loop, int64_t Cut) {
-    return step("partition_loop", loopPattern(Loop), [&](const ProcRef &P) {
+    return step(ops::Partition, loopPattern(Loop), [&](const ProcRef &P) {
       return partitionLoop(P, loopPattern(Loop), Cut);
     });
   }
   Schedule &remove(const std::string &Loop) {
-    return step("remove_loop", loopPattern(Loop), [&](const ProcRef &P) {
+    return step(ops::Remove, loopPattern(Loop), [&](const ProcRef &P) {
       return removeLoop(P, loopPattern(Loop));
     });
   }
   Schedule &fuse(const std::string &Loop) {
-    return step("fuse_loop", loopPattern(Loop), [&](const ProcRef &P) {
+    return step(ops::Fuse, loopPattern(Loop), [&](const ProcRef &P) {
       return fuseLoops(P, loopPattern(Loop));
     });
   }
   Schedule &liftIf(const std::string &IfPat) {
-    return step("lift_if", IfPat, [&](const ProcRef &P) {
+    return step(ops::LiftIf, IfPat, [&](const ProcRef &P) {
       return scheduling::liftIf(P, IfPat);
     });
   }
 
   //--- Statement transformations ------------------------------------------
   Schedule &reorderStmts(const std::string &FirstPat) {
-    return step("reorder_stmts", FirstPat, [&](const ProcRef &P) {
+    return step(ops::ReorderStmts, FirstPat, [&](const ProcRef &P) {
       return scheduling::reorderStmts(P, FirstPat);
     });
   }
   Schedule &moveUp(const std::string &StmtPat) {
-    return step("move_up", StmtPat, [&](const ProcRef &P) {
+    return step(ops::MoveUp, StmtPat, [&](const ProcRef &P) {
       return moveStmtUp(P, StmtPat);
     });
   }
   Schedule &hoistToTop(const std::string &StmtPat) {
-    return step("hoist_to_top", StmtPat, [&](const ProcRef &P) {
+    return step(ops::Hoist, StmtPat, [&](const ProcRef &P) {
       return hoistStmtToTop(P, StmtPat);
     });
   }
   Schedule &fission(const std::string &StmtPat) {
-    return step("fission_after", StmtPat, [&](const ProcRef &P) {
+    return step(ops::Fission, StmtPat, [&](const ProcRef &P) {
       return fissionAfter(P, StmtPat);
     });
   }
   Schedule &liftAlloc(const std::string &AllocPat, unsigned Levels = 1) {
-    return step("lift_alloc", AllocPat, [&](const ProcRef &P) {
+    return step(ops::LiftAlloc, AllocPat, [&](const ProcRef &P) {
       return scheduling::liftAlloc(P, AllocPat, Levels);
     });
   }
   Schedule &bindExpr(const std::string &StmtPat, const std::string &ExprPat,
                      const std::string &NewName) {
-    return step("bind_expr", StmtPat, [&](const ProcRef &P) {
+    return step(ops::BindExpr, StmtPat, [&](const ProcRef &P) {
       return scheduling::bindExpr(P, StmtPat, ExprPat, NewName);
     });
   }
   Schedule &guard(const std::string &StmtPat, const std::string &CondSrc) {
-    return step("add_guard", StmtPat, [&](const ProcRef &P) {
+    return step(ops::AddGuard, StmtPat, [&](const ProcRef &P) {
       return addGuard(P, StmtPat, CondSrc);
     });
   }
   Schedule &deletePass() {
-    return step("delete_pass", "", [&](const ProcRef &P) {
+    return step(ops::DeletePass, "", [&](const ProcRef &P) {
       return scheduling::deletePass(P);
     });
   }
@@ -331,20 +368,20 @@ public:
   Schedule &configWriteAt(const std::string &StmtPat,
                           const ir::ConfigRef &Cfg, const std::string &Field,
                           const std::string &ValueSrc) {
-    return step("configwrite_at", StmtPat, [&](const ProcRef &P) {
+    return step(ops::ConfigWrite, StmtPat, [&](const ProcRef &P) {
       return scheduling::configWriteAt(P, StmtPat, Cfg, Field, ValueSrc);
     });
   }
   Schedule &configWriteRoot(const ir::ConfigRef &Cfg,
                             const std::string &Field,
                             const std::string &ValueSrc) {
-    return step("configwrite_root", "", [&](const ProcRef &P) {
+    return step(ops::ConfigWriteRoot, "", [&](const ProcRef &P) {
       return scheduling::configWriteRoot(P, Cfg, Field, ValueSrc);
     });
   }
   Schedule &bindConfig(const std::string &StmtPat, const std::string &ExprPat,
                        const ir::ConfigRef &Cfg, const std::string &Field) {
-    return step("bind_config", StmtPat, [&](const ProcRef &P) {
+    return step(ops::BindConfig, StmtPat, [&](const ProcRef &P) {
       return scheduling::bindConfig(P, StmtPat, ExprPat, Cfg, Field);
     });
   }
@@ -353,35 +390,35 @@ public:
   Schedule &stage(const std::string &StmtPat, unsigned Count,
                   const std::string &WindowSrc, const std::string &NewName,
                   const std::string &Mem = "DRAM") {
-    return step("stage_mem", StmtPat, [&](const ProcRef &P) {
+    return step(ops::Stage, StmtPat, [&](const ProcRef &P) {
       return stageMem(P, StmtPat, Count, WindowSrc, NewName, Mem);
     });
   }
   Schedule &setMemory(const std::string &Name, const std::string &Mem) {
-    return step("set_memory", Name, [&](const ProcRef &P) {
+    return step(ops::SetMemory, Name, [&](const ProcRef &P) {
       return scheduling::setMemory(P, Name, Mem);
     });
   }
   Schedule &setPrecision(const std::string &Name, ir::ScalarKind Precision) {
-    return step("set_precision", Name, [&](const ProcRef &P) {
+    return step(ops::SetPrecision, Name, [&](const ProcRef &P) {
       return scheduling::setPrecision(P, Name, Precision);
     });
   }
 
   //--- Procedure-level ----------------------------------------------------
   Schedule &inlineCall(const std::string &CallPat) {
-    return step("inline", CallPat, [&](const ProcRef &P) {
+    return step(ops::Inline, CallPat, [&](const ProcRef &P) {
       return scheduling::inlineCall(P, CallPat);
     });
   }
   Schedule &callEqv(const std::string &CallPat, const ProcRef &NewCallee) {
-    return step("call_eqv", CallPat, [&](const ProcRef &P) {
+    return step(ops::CallEqv, CallPat, [&](const ProcRef &P) {
       return scheduling::callEqv(P, CallPat, NewCallee);
     });
   }
   Schedule &replaceWith(const std::string &StmtPat, unsigned Count,
                         const ProcRef &Target) {
-    return step("replace", StmtPat, [&](const ProcRef &P) {
+    return step(ops::Replace, StmtPat, [&](const ProcRef &P) {
       return scheduling::replaceWith(P, StmtPat, Count, Target);
     });
   }
@@ -393,7 +430,7 @@ public:
     return *this;
   }
   Schedule &simplify() {
-    return step("simplify", "", [&](const ProcRef &P) {
+    return step(ops::Simplify, "", [&](const ProcRef &P) {
       return scheduling::simplify(P);
     });
   }

@@ -45,7 +45,7 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
   EffectSets A1 = extractStmt(Op.Ctx, State, S1);
   EffectSets A2 = extractStmt(Op.Ctx, State, S2);
   if (auto E = checkProved(Op.Ctx, Info.PathCond, commutesCond(A1, A2),
-                           "reorder_stmts", Pattern, printStmt(S1),
+                           Pattern, printStmt(S1),
                            "reorder_stmts: statements do not commute"))
     return *E;
   return Op.derive({S2, S1});
@@ -55,7 +55,7 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
 
 Expected<ProcRef> exo::scheduling::reorderStmts(const ProcRef &P,
                                                 const std::string &FirstPat) {
-  ScopedOpName Op("reorder_stmts");
+  ScopedOpName Op(ops::ReorderStmts);
   auto C = findStmts(*P, FirstPat);
   if (!C)
     return C.error();
@@ -64,7 +64,7 @@ Expected<ProcRef> exo::scheduling::reorderStmts(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::moveStmtUp(const ProcRef &P,
                                               const std::string &StmtPat) {
-  ScopedOpName Op("move_up");
+  ScopedOpName Op(ops::MoveUp);
   auto C = findStmts(*P, StmtPat);
   if (!C)
     return C.error();
@@ -133,7 +133,7 @@ Expected<ProcRef> exo::scheduling::hoistStmtToTop(const ProcRef &P,
 
 Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
                                                 const std::string &StmtPat) {
-  ScopedOpName OpName("fission_after");
+  ScopedOpName OpName(ops::Fission);
   auto C = findStmts(*P, StmtPat);
   if (!C)
     return C.error();
@@ -189,8 +189,7 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
   TriBool Premise = triAnd(Info.PathCond,
                            triAnd(InBounds(X1), InBounds(X2)));
   Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
-  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2),
-                           "fission_after", StmtPat,
+  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), StmtPat,
                            "for " + Loop->name().name() + " in _: _",
                            "fission_after: split halves do not commute "
                            "across iterations"))
@@ -208,7 +207,7 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
 Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
                                              const std::string &AllocPat,
                                              unsigned Levels) {
-  ScopedOpName Op("lift_alloc");
+  ScopedOpName Op(ops::LiftAlloc);
   ProcRef Cur = P;
   for (unsigned L = 0; L < Levels; ++L) {
     auto C = findOneOfKind(*Cur, AllocPat, StmtKind::Alloc, "an allocation");
@@ -256,7 +255,7 @@ Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
                                             const std::string &StmtPat,
                                             const std::string &ExprPat,
                                             const std::string &NewName) {
-  ScopedOpName OpName("bind_expr");
+  ScopedOpName OpName(ops::BindExpr);
   auto C = findStmts(*P, StmtPat);
   if (!C)
     return C.error();
@@ -327,7 +326,7 @@ Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
 Expected<ProcRef> exo::scheduling::addGuard(const ProcRef &P,
                                             const std::string &StmtPat,
                                             const std::string &CondSrc) {
-  ScopedOpName OpName("add_guard");
+  ScopedOpName OpName(ops::AddGuard);
   auto C = findStmts(*P, StmtPat);
   if (!C)
     return C.error();
@@ -341,8 +340,8 @@ Expected<ProcRef> exo::scheduling::addGuard(const ProcRef &P,
 
   const ContextInfo &Info = Op.info();
   TriBool CondT = Op.Ctx.liftBool(*Cond, Info.Pre.Env);
-  if (auto E = checkProved(Op.Ctx, Info.PathCond, CondT.Must, "add_guard",
-                           StmtPat, CondSrc,
+  if (auto E = checkProved(Op.Ctx, Info.PathCond, CondT.Must, StmtPat,
+                           CondSrc,
                            "add_guard: condition '" + CondSrc +
                                "' is not provably true here"))
     return *E;

@@ -564,7 +564,7 @@ public:
           dischargeUnderPremise(Ctx, St.Premise, PredT.Must);
       if (V != ScheduleErrorInfo::Verdict::Yes) {
         ScheduleErrorInfo EInfo;
-        EInfo.Op = "replace";
+        EInfo.Op = currentOpName();
         EInfo.Loc = printExpr(Inst);
         EInfo.SolverVerdict = V;
         return makeScheduleError(Error::Kind::Unification,
@@ -687,7 +687,7 @@ Expected<ProcRef> exo::scheduling::replaceWith(const ProcRef &P,
                                                const std::string &StmtPat,
                                                unsigned Count,
                                                const ProcRef &Target) {
-  ScopedOpName OpName("replace");
+  ScopedOpName OpName(ops::Replace);
   auto C = findStmts(*P, StmtPat, Count);
   if (!C)
     return C.error();

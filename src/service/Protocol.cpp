@@ -6,6 +6,7 @@
 
 #include "service/Protocol.h"
 
+#include "support/Deadline.h"
 #include "support/FaultInjector.h"
 #include "support/Signals.h"
 
@@ -26,6 +27,7 @@
 
 using namespace exo;
 using namespace exo::service;
+using support::nowMillis;
 
 //===----------------------------------------------------------------------===//
 // Json
@@ -422,12 +424,6 @@ const char *exo::service::frameStatusName(FrameStatus S) {
 }
 
 namespace {
-
-int64_t nowMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Reads exactly N bytes, polling against an absolute deadline (-1 =
 /// none). Classifies EOF as TruncatedEof because callers only use this

@@ -40,16 +40,7 @@
 
 using namespace exo;
 using namespace exo::service;
-
-namespace {
-
-int64_t nowMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-} // namespace
+using support::nowMillis;
 
 /// One accepted socket. Shared between the connection's reader thread and
 /// every worker holding a queued job for it; the write lock serializes

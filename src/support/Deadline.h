@@ -27,6 +27,22 @@
 namespace exo {
 namespace support {
 
+/// Milliseconds on the steady clock (arbitrary epoch), whole: for
+/// deadlines, timeouts and grace periods.
+inline int64_t nowMillis() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Milliseconds on the steady clock (arbitrary epoch), fractional: for
+/// timing measurements.
+inline double nowMillisPrecise() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// A wall-clock deadline on the steady clock, or "never".
 class Deadline {
 public:

@@ -16,7 +16,9 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
+#include <limits>
 #include <optional>
 
 using namespace exo;
@@ -61,39 +63,24 @@ Expected<ScheduleStep> ScheduleStep::parse(const std::string &Line) {
 }
 
 //===----------------------------------------------------------------------===//
-// Step application
+// Step application: typed arguments, the op table, the interpreter
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-Expected<int64_t> parseNum(const std::string &S) {
-  if (S.empty())
-    return makeError(Error::Kind::Parse, "bad number in trace: ''");
-  size_t Pos = S[0] == '-' ? 1 : 0;
-  if (Pos == S.size())
-    return makeError(Error::Kind::Parse, "bad number in trace: '" + S + "'");
+/// Parses a signed decimal trace integer; malformed or out-of-range text
+/// is a Parse error.
+Expected<int64_t> parseTraceInt(const std::string &S) {
   int64_t V = 0;
-  for (; Pos < S.size(); ++Pos) {
-    if (S[Pos] < '0' || S[Pos] > '9')
-      return makeError(Error::Kind::Parse, "bad number in trace: '" + S + "'");
-    V = V * 10 + (S[Pos] - '0');
-  }
-  return S[0] == '-' ? -V : V;
+  const char *End = S.data() + S.size();
+  auto [Ptr, Ec] = std::from_chars(S.data(), End, V);
+  if (Ec != std::errc() || Ptr != End)
+    return makeError(Error::Kind::Parse, "bad number in trace: '" + S + "'");
+  return V;
 }
 
-Expected<ScalarKind> parseKind(const std::string &S) {
-  if (S == "f32")
-    return ScalarKind::F32;
-  if (S == "f64")
-    return ScalarKind::F64;
-  if (S == "i8")
-    return ScalarKind::I8;
-  if (S == "i16")
-    return ScalarKind::I16;
-  if (S == "i32")
-    return ScalarKind::I32;
-  return makeError(Error::Kind::Parse, "bad precision in trace: '" + S + "'");
-}
+/// Split-tail spellings, in SplitTail order.
+const char *const TailNames[] = {"guard", "cut", "perfect"};
 
 /// Resolves "gemmini:<name>" / "avx512:<name>" instruction references for
 /// replace steps; the libraries register their memories as a side effect.
@@ -139,29 +126,82 @@ Expected<ConfigRef> resolveConfig(const std::string &Ref) {
   return makeError(Error::Kind::Parse, "unknown config ref '" + Ref + "'");
 }
 
-Error arity(const ScheduleStep &S, size_t Want) {
-  return makeError(Error::Kind::Parse, "trace op '" + S.Op + "' expects " +
-                                           std::to_string(Want) +
-                                           " args, got " +
-                                           std::to_string(S.Args.size()));
+/// Parses one argument into \p Out; nullopt on success. Targets keep
+/// their text here and are resolved once every scalar has parsed.
+std::optional<Error> parseArg(TraceArgKind K, const std::string &Text,
+                              TraceArg &Out) {
+  Out.Str = Text;
+  switch (K) {
+  case TraceArgKind::Count:
+  case TraceArgKind::Int:
+  case TraceArgKind::Tunable: {
+    auto V = parseTraceInt(Text);
+    if (!V)
+      return V.error();
+    if (K == TraceArgKind::Count &&
+        (*V < 1 || *V > std::numeric_limits<unsigned>::max()))
+      return makeError(Error::Kind::Parse, "bad selection count in trace: '" +
+                                               Text + "' (must be >= 1)");
+    Out.Int = *V;
+    return std::nullopt;
+  }
+  case TraceArgKind::Memory:
+    // Touch the library singletons so their memories are registered
+    // before codegen meets the annotation.
+    if (Text == "AVX512")
+      (void)hw::avx512::avx512Lib();
+    if (Text == "GEMM_SCRATCH" || Text == "GEMM_ACC")
+      (void)hw::gemmini::gemminiLib();
+    return std::nullopt;
+  case TraceArgKind::Tail:
+    for (SplitTail T : {SplitTail::Guard, SplitTail::Cut, SplitTail::Perfect})
+      if (Text == TailNames[int(T)]) {
+        Out.Tail = T;
+        return std::nullopt;
+      }
+    return makeError(Error::Kind::Parse,
+                     "bad split tail in trace: '" + Text + "'");
+  case TraceArgKind::Precision:
+    for (ScalarKind P : {ScalarKind::F32, ScalarKind::F64, ScalarKind::I8,
+                         ScalarKind::I16, ScalarKind::I32})
+      if (Text == scalarKindName(P)) {
+        Out.Precision = P;
+        return std::nullopt;
+      }
+    return makeError(Error::Kind::Parse,
+                     "bad precision in trace: '" + Text + "'");
+  case TraceArgKind::Instr: {
+    auto I = resolveInstr(Text);
+    if (!I)
+      return I.error();
+    Out.Instr = *I;
+    return std::nullopt;
+  }
+  case TraceArgKind::Config: {
+    auto C = resolveConfig(Text);
+    if (!C)
+      return C.error();
+    Out.Config = *C;
+    return std::nullopt;
+  }
+  case TraceArgKind::Loop:
+  case TraceArgKind::Stmt:
+  case TraceArgKind::Name:
+    return std::nullopt;
+  }
+  return std::nullopt;
 }
 
-/// Cursor-navigation trace arguments: "<pattern> @nav[.nav...]" resolves
-/// the base pattern to a cursor, then applies structural navigation steps
-/// (body, orelse, next, prev, parent), so traces can address statements
-/// no unambiguous pattern string exists for — e.g. the inner of two
-/// same-named loops: "for t in _: _ @body".
-bool hasCursorNav(const std::string &A) {
-  return A.find(" @") != std::string::npos;
-}
-
-Expected<Cursor> resolveCursorArg(const ProcRef &P, const std::string &Arg,
-                                  bool LoopArg) {
+/// Resolves a target argument to the pattern the primitive receives. A
+/// "@nav" suffix goes through Cursor navigation; \p Width widens the
+/// navigated selection the way the selection-width Cursor overloads do.
+Expected<std::string> resolveTarget(const ProcRef &P, const std::string &Arg,
+                                    bool Loop, unsigned Width) {
   size_t At = Arg.rfind(" @");
+  if (At == std::string::npos)
+    return Loop ? Schedule::loopPattern(Arg) : Arg;
   std::string Pat = trimString(Arg.substr(0, At));
-  if (LoopArg)
-    Pat = Schedule::loopPattern(Pat);
-  auto Found = Cursor::find(P, Pat);
+  auto Found = Cursor::find(P, Loop ? Schedule::loopPattern(Pat) : Pat);
   if (!Found)
     return Found.error();
   Cursor Cur = *Found;
@@ -194,7 +234,13 @@ Expected<Cursor> resolveCursorArg(const ProcRef &P, const std::string &Arg,
       break;
     Pos = Dot + 1;
   }
-  return Cur;
+  if (Width > 1) {
+    auto Wide = Cur.expand(Width - 1);
+    if (!Wide)
+      return Wide.error();
+    Cur = *Wide;
+  }
+  return Cur.pattern();
 }
 
 /// TEST-ONLY unsound rewrite: shrinks the Nth loop (pre-order, counted
@@ -249,290 +295,138 @@ Expected<ProcRef> unsoundDropIter(const ProcRef &P, const std::string &Iter,
 
 } // namespace
 
+const std::vector<TraceOp> &exo::testing::traceOps() {
+  using K = TraceArgKind;
+  using Args = std::vector<TraceArg>;
+  static const std::vector<TraceOp> Table = {
+      {ops::Split, {K::Loop, K::Tunable, K::Name, K::Name, K::Tail},
+       [](const ProcRef &P, const Args &A) {
+         return splitLoop(P, A[0].Str, A[1].Int, A[2].Str, A[3].Str,
+                          A[4].Tail);
+       }},
+      {ops::Reorder, {K::Loop},
+       [](const ProcRef &P, const Args &A) {
+         return reorderLoops(P, A[0].Str);
+       }},
+      {ops::Unroll, {K::Loop},
+       [](const ProcRef &P, const Args &A) { return unrollLoop(P, A[0].Str); }},
+      {ops::Partition, {K::Loop, K::Tunable},
+       [](const ProcRef &P, const Args &A) {
+         return partitionLoop(P, A[0].Str, A[1].Int);
+       }},
+      {ops::Remove, {K::Loop},
+       [](const ProcRef &P, const Args &A) { return removeLoop(P, A[0].Str); }},
+      {ops::Fuse, {K::Loop},
+       [](const ProcRef &P, const Args &A) { return fuseLoops(P, A[0].Str); }},
+      {ops::LiftIf, {K::Stmt},
+       [](const ProcRef &P, const Args &A) { return liftIf(P, A[0].Str); }},
+      {ops::ReorderStmts, {K::Stmt},
+       [](const ProcRef &P, const Args &A) {
+         return reorderStmts(P, A[0].Str);
+       }},
+      {ops::MoveUp, {K::Stmt},
+       [](const ProcRef &P, const Args &A) { return moveStmtUp(P, A[0].Str); }},
+      {ops::Fission, {K::Stmt},
+       [](const ProcRef &P, const Args &A) {
+         return fissionAfter(P, A[0].Str);
+       }},
+      {ops::LiftAlloc, {K::Stmt, K::Tunable},
+       [](const ProcRef &P, const Args &A) {
+         return liftAlloc(P, A[0].Str, unsigned(A[1].Int));
+       }},
+      {ops::Stage, {K::Stmt, K::Count, K::Name, K::Name, K::Memory},
+       [](const ProcRef &P, const Args &A) {
+         return stageMem(P, A[0].Str, unsigned(A[1].Int), A[2].Str, A[3].Str,
+                         A[4].Str);
+       }},
+      {ops::SetMemory, {K::Name, K::Memory},
+       [](const ProcRef &P, const Args &A) {
+         return setMemory(P, A[0].Str, A[1].Str);
+       }},
+      {ops::SetPrecision, {K::Name, K::Precision},
+       [](const ProcRef &P, const Args &A) {
+         return setPrecision(P, A[0].Str, A[1].Precision);
+       }},
+      {ops::Replace, {K::Stmt, K::Count, K::Instr},
+       [](const ProcRef &P, const Args &A) {
+         return replaceWith(P, A[0].Str, unsigned(A[1].Int), A[2].Instr);
+       }},
+      {ops::ConfigWrite, {K::Stmt, K::Config, K::Name, K::Name},
+       [](const ProcRef &P, const Args &A) {
+         return configWriteAt(P, A[0].Str, A[1].Config, A[2].Str, A[3].Str);
+       }},
+      {ops::Hoist, {K::Stmt},
+       [](const ProcRef &P, const Args &A) {
+         return hoistStmtToTop(P, A[0].Str);
+       }},
+      // Composable named procedures (scheduling/Procedures.h) as single
+      // steps, so traces and tuner skeletons speak the apps' vocabulary.
+      {ops::Tile2D,
+       {K::Loop, K::Tunable, K::Int, K::Name, K::Name, K::Name, K::Name,
+        K::Tail},
+       [](const ProcRef &P, const Args &A) {
+         return tile2D(P, A[0].Str, A[1].Int, A[2].Int, A[3].Str, A[4].Str,
+                       A[5].Str, A[6].Str, A[7].Tail);
+       }},
+      {ops::AutoDivide, {K::Loop, K::Tunable, K::Name, K::Name},
+       [](const ProcRef &P, const Args &A) {
+         return autoDivide(P, A[0].Str, A[1].Int, A[2].Str, A[3].Str);
+       }},
+      {ops::StageVec,
+       {K::Stmt, K::Name, K::Name, K::Memory, K::Int, K::Name, K::Name},
+       [](const ProcRef &P, const Args &A) {
+         return stageAndVectorize(P, A[0].Str, A[1].Str, A[2].Str, A[3].Str,
+                                  A[4].Int, A[5].Str, A[6].Str);
+       }},
+      {ops::Simplify, {},
+       [](const ProcRef &P, const Args &) { return simplify(P); }},
+      {ops::DeletePass, {},
+       [](const ProcRef &P, const Args &) { return deletePass(P); }},
+      {"unsound_drop_iter", {K::Name, K::Int},
+       [](const ProcRef &P, const Args &A) {
+         return unsoundDropIter(P, A[0].Str, A[1].Int);
+       }},
+  };
+  return Table;
+}
+
+const TraceOp *exo::testing::findTraceOp(const std::string &Name) {
+  for (const TraceOp &Op : traceOps())
+    if (Name == Op.Name)
+      return &Op;
+  return nullptr;
+}
+
 Expected<ProcRef> exo::testing::applyStep(const ProcRef &P,
                                           const ScheduleStep &S) {
-  const std::string &Op = S.Op;
-  auto A = [&](size_t I) -> const std::string & { return S.Args[I]; };
-  // Cursor-navigation form of a loop/statement argument: resolve to a
-  // Cursor and dispatch to the cursor-taking overload (byte-identical
-  // rewrite, structural addressing).
-  auto loopCur = [&](size_t I) { return resolveCursorArg(P, A(I), true); };
-  auto stmtCur = [&](size_t I) { return resolveCursorArg(P, A(I), false); };
-
-  if (Op == "split") {
-    if (S.Args.size() != 5)
-      return arity(S, 5);
-    auto F = parseNum(A(1));
-    if (!F)
-      return F.error();
-    SplitTail T = A(4) == "cut"       ? SplitTail::Cut
-                  : A(4) == "perfect" ? SplitTail::Perfect
-                                      : SplitTail::Guard;
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return splitLoop(*C, *F, A(2), A(3), T);
-    }
-    return splitLoop(P, Schedule::loopPattern(A(0)), *F, A(2), A(3), T);
+  const TraceOp *Op = findTraceOp(S.Op);
+  if (!Op)
+    return makeError(Error::Kind::Parse, "unknown trace op '" + S.Op + "'");
+  if (S.Args.size() != Op->Schema.size())
+    return makeError(Error::Kind::Parse,
+                     "trace op '" + S.Op + "' expects " +
+                         std::to_string(Op->Schema.size()) + " args, got " +
+                         std::to_string(S.Args.size()));
+  // Scalars first, so a malformed number fails before any target
+  // resolves; the Count, if any, is the width of a navigated target.
+  std::vector<TraceArg> A(S.Args.size());
+  unsigned Width = 1;
+  for (size_t I = 0; I < A.size(); ++I) {
+    if (auto E = parseArg(Op->Schema[I], S.Args[I], A[I]))
+      return *E;
+    if (Op->Schema[I] == TraceArgKind::Count)
+      Width = unsigned(A[I].Int);
   }
-  if (Op == "reorder") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return reorderLoops(*C);
-    }
-    return reorderLoops(P, Schedule::loopPattern(A(0)));
+  for (size_t I = 0; I < A.size(); ++I) {
+    TraceArgKind Kind = Op->Schema[I];
+    if (Kind != TraceArgKind::Loop && Kind != TraceArgKind::Stmt)
+      continue;
+    auto Pat = resolveTarget(P, S.Args[I], Kind == TraceArgKind::Loop, Width);
+    if (!Pat)
+      return Pat.error();
+    A[I].Str = *Pat;
   }
-  if (Op == "unroll") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return unrollLoop(*C);
-    }
-    return unrollLoop(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "partition") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto C = parseNum(A(1));
-    if (!C)
-      return C.error();
-    if (hasCursorNav(A(0))) {
-      auto Cur = loopCur(0);
-      if (!Cur)
-        return Cur.error();
-      return partitionLoop(*Cur, *C);
-    }
-    return partitionLoop(P, Schedule::loopPattern(A(0)), *C);
-  }
-  if (Op == "remove") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return removeLoop(*C);
-    }
-    return removeLoop(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "fuse") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return fuseLoops(*C);
-    }
-    return fuseLoops(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "lift_if") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return liftIf(*C);
-    }
-    return liftIf(P, A(0));
-  }
-  if (Op == "reorder_stmts") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return reorderStmts(*C);
-    }
-    return reorderStmts(P, A(0));
-  }
-  if (Op == "move_up") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return moveStmtUp(*C);
-    }
-    return moveStmtUp(P, A(0));
-  }
-  if (Op == "fission") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return fissionAfter(*C);
-    }
-    return fissionAfter(P, A(0));
-  }
-  if (Op == "lift_alloc") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto L = parseNum(A(1));
-    if (!L)
-      return L.error();
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return liftAlloc(*C, unsigned(*L));
-    }
-    return liftAlloc(P, A(0), unsigned(*L));
-  }
-  if (Op == "stage") {
-    if (S.Args.size() != 5)
-      return arity(S, 5);
-    auto C = parseNum(A(1));
-    if (!C)
-      return C.error();
-    if (hasCursorNav(A(0))) {
-      auto Cur = stmtCur(0);
-      if (!Cur)
-        return Cur.error();
-      auto Wide = *C > 1 ? Cur->expand(unsigned(*C) - 1)
-                         : Expected<Cursor>(*Cur);
-      if (!Wide)
-        return Wide.error();
-      return stageMem(*Wide, A(2), A(3), A(4));
-    }
-    return stageMem(P, A(0), unsigned(*C), A(2), A(3), A(4));
-  }
-  if (Op == "set_memory") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    // Touch the library singletons so their memories are registered
-    // before codegen meets the annotation.
-    if (A(1) == "AVX512")
-      (void)hw::avx512::avx512Lib();
-    if (A(1) == "GEMM_SCRATCH" || A(1) == "GEMM_ACC")
-      (void)hw::gemmini::gemminiLib();
-    return setMemory(P, A(0), A(1));
-  }
-  if (Op == "set_precision") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto K = parseKind(A(1));
-    if (!K)
-      return K.error();
-    return setPrecision(P, A(0), *K);
-  }
-  if (Op == "replace") {
-    if (S.Args.size() != 3)
-      return arity(S, 3);
-    auto C = parseNum(A(1));
-    if (!C)
-      return C.error();
-    auto Tgt = resolveInstr(A(2));
-    if (!Tgt)
-      return Tgt.error();
-    if (hasCursorNav(A(0))) {
-      auto Cur = stmtCur(0);
-      if (!Cur)
-        return Cur.error();
-      auto Wide = *C > 1 ? Cur->expand(unsigned(*C) - 1)
-                         : Expected<Cursor>(*Cur);
-      if (!Wide)
-        return Wide.error();
-      return replaceWith(*Wide, *Tgt);
-    }
-    return replaceWith(P, A(0), unsigned(*C), *Tgt);
-  }
-  if (Op == "config_write") {
-    if (S.Args.size() != 4)
-      return arity(S, 4);
-    auto Cfg = resolveConfig(A(1));
-    if (!Cfg)
-      return Cfg.error();
-    return configWriteAt(P, A(0), *Cfg, A(2), A(3));
-  }
-  if (Op == "hoist") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return hoistStmtToTop(*C);
-    }
-    return hoistStmtToTop(P, A(0));
-  }
-  // --- Composable named procedures (scheduling/Procedures.h) as single
-  //     trace steps, so ScheduleGen traces and tuner skeletons can speak
-  //     the same vocabulary the apps do. ---
-  if (Op == "tile2d") {
-    if (S.Args.size() != 8)
-      return arity(S, 8);
-    auto TI = parseNum(A(1));
-    if (!TI)
-      return TI.error();
-    auto TJ = parseNum(A(2));
-    if (!TJ)
-      return TJ.error();
-    SplitTail T = A(7) == "cut"       ? SplitTail::Cut
-                  : A(7) == "perfect" ? SplitTail::Perfect
-                                      : SplitTail::Guard;
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return tile2D(*C, *TI, *TJ, A(3), A(4), A(5), A(6), T);
-    }
-    return tile2D(P, A(0), *TI, *TJ, A(3), A(4), A(5), A(6), T);
-  }
-  if (Op == "auto_divide") {
-    if (S.Args.size() != 4)
-      return arity(S, 4);
-    auto M = parseNum(A(1));
-    if (!M)
-      return M.error();
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return autoDivide(*C, *M, A(2), A(3));
-    }
-    return autoDivide(P, Schedule::loopPattern(A(0)), *M, A(2), A(3));
-  }
-  if (Op == "stage_vec") {
-    if (S.Args.size() != 7)
-      return arity(S, 7);
-    auto L = parseNum(A(4));
-    if (!L)
-      return L.error();
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return stageAndVectorize(*C, A(1), A(2), A(3), *L, A(5), A(6));
-    }
-    return stageAndVectorize(P, A(0), A(1), A(2), A(3), *L, A(5), A(6));
-  }
-  if (Op == "simplify")
-    return simplify(P);
-  if (Op == "delete_pass")
-    return deletePass(P);
-  if (Op == "unsound_drop_iter") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto N = parseNum(A(1));
-    if (!N)
-      return N.error();
-    return unsoundDropIter(P, A(0), *N);
-  }
-  return makeError(Error::Kind::Parse, "unknown trace op '" + Op + "'");
+  return Op->Apply(P, A);
 }
 
 Expected<ProcRef> exo::testing::applyTrace(
@@ -748,18 +642,17 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
     if (!L)
       return std::nullopt;
     int64_t Factor = R.range(2, 4);
-    static const char *const Tails[] = {"guard", "cut", "perfect"};
     std::string Base = L->Iter + "x" + std::to_string(NameCounter++);
-    return ScheduleStep{"split",
+    return ScheduleStep{ops::Split,
                         {loopRef(*L), std::to_string(Factor), Base + "o",
-                         Base + "i", Tails[R.next() % 3]}};
+                         Base + "i", TailNames[R.next() % 3]}};
   }
   case 2:
   case 3: { // reorder
     const LoopTgt *L = pickLoop();
     if (!L)
       return std::nullopt;
-    return ScheduleStep{"reorder", {loopRef(*L)}};
+    return ScheduleStep{ops::Reorder, {loopRef(*L)}};
   }
   case 4: { // unroll — small constant-extent loops only (bounded blowup)
     std::vector<const LoopTgt *> C;
@@ -768,7 +661,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
         C.push_back(&L);
     if (C.empty())
       return std::nullopt;
-    return ScheduleStep{"unroll", {loopRef(*C[R.next() % C.size()])}};
+    return ScheduleStep{ops::Unroll, {loopRef(*C[R.next() % C.size()])}};
   }
   case 5: { // partition
     const LoopTgt *L = pickLoop();
@@ -777,14 +670,15 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
     int64_t Span = (L->ConstLo >= 0 && L->ConstHi > L->ConstLo)
                        ? L->ConstHi - L->ConstLo
                        : 4;
-    return ScheduleStep{"partition",
+    return ScheduleStep{ops::Partition,
                         {loopRef(*L), std::to_string(R.range(1, Span))}};
   }
   case 6: { // remove / fuse
     const LoopTgt *L = pickLoop();
     if (!L)
       return std::nullopt;
-    return ScheduleStep{R.chance(1, 2) ? "remove" : "fuse", {loopRef(*L)}};
+    return ScheduleStep{R.chance(1, 2) ? ops::Remove : ops::Fuse,
+                        {loopRef(*L)}};
   }
   case 7: { // lift_if
     if (!T.NumIfs)
@@ -793,20 +687,20 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
     std::string Pat = "if _: _";
     if (K)
       Pat += " #" + std::to_string(K);
-    return ScheduleStep{"lift_if", {Pat}};
+    return ScheduleStep{ops::LiftIf, {Pat}};
   }
   case 8: { // reorder_stmts / move_up
     const WriteTgt *W = pickWrite();
     if (!W)
       return std::nullopt;
-    return ScheduleStep{R.chance(1, 2) ? "reorder_stmts" : "move_up",
+    return ScheduleStep{R.chance(1, 2) ? ops::ReorderStmts : ops::MoveUp,
                         {writePat(*W)}};
   }
   case 9: { // fission
     const WriteTgt *W = pickWrite();
     if (!W)
       return std::nullopt;
-    return ScheduleStep{"fission", {writePat(*W)}};
+    return ScheduleStep{ops::Fission, {writePat(*W)}};
   }
   case 10: { // lift_alloc
     std::vector<const AllocTgt *> C;
@@ -817,7 +711,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
       return std::nullopt;
     const AllocTgt *A = C[R.next() % C.size()];
     unsigned Levels = unsigned(R.range(1, int64_t(A->Depth)));
-    return ScheduleStep{"lift_alloc",
+    return ScheduleStep{ops::LiftAlloc,
                         {A->Name + " : _", std::to_string(Levels)}};
   }
   case 11: { // stage a whole buffer around one write
@@ -832,7 +726,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
       Win += "0:" + std::to_string(Buf.Dims[D]);
     }
     Win += "]";
-    return ScheduleStep{"stage",
+    return ScheduleStep{ops::Stage,
                         {writePat(*W), "1", Win,
                          "stg" + std::to_string(NameCounter++), "DRAM"}};
   }
@@ -840,7 +734,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
     if (T.Allocs.empty())
       return std::nullopt;
     const AllocTgt &A = T.Allocs[R.next() % T.Allocs.size()];
-    return ScheduleStep{"set_memory",
+    return ScheduleStep{ops::SetMemory,
                         {A.Name, R.chance(1, 2) ? "AVX512" : "DRAM"}};
   }
   case 13: { // set_precision — only to the kind already concrete in the
@@ -855,7 +749,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
     const char *K = T.ConcreteKinds.size() == 1
                         ? scalarKindName(T.ConcreteKinds[0])
                         : (R.chance(1, 2) ? "f32" : "f64");
-    return ScheduleStep{"set_precision", {C[R.next() % C.size()]->Name, K}};
+    return ScheduleStep{ops::SetPrecision, {C[R.next() % C.size()]->Name, K}};
   }
   case 14: { // replace with an @instr (unification nearly always rejects
              // random code; exercising the rejection path is the point)
@@ -867,7 +761,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
         "avx512:fmadd_ps", "avx512:accum_ps", "avx512:relu_ps",
         "gemmini:zero_acc"};
     return ScheduleStep{
-        "replace",
+        ops::Replace,
         {writePat(*W), "1",
          Instrs[R.next() % (sizeof(Instrs) / sizeof(Instrs[0]))]}};
   }
@@ -880,7 +774,7 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
       return std::nullopt;
     const LoopTgt *L = C[R.next() % C.size()];
     std::string Base = L->Iter + "x" + std::to_string(NameCounter++);
-    return ScheduleStep{"auto_divide",
+    return ScheduleStep{ops::AutoDivide,
                         {loopRef(*L), std::to_string(R.range(2, 8)),
                          Base + "o", Base + "i"}};
   }
@@ -905,13 +799,13 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
       return std::nullopt;
     const LoopTgt *L = C[R.next() % C.size()];
     std::string Base = L->Iter + "x" + std::to_string(NameCounter++);
-    return ScheduleStep{"tile2d",
+    return ScheduleStep{ops::Tile2D,
                         {loopRef(*L), std::to_string(divisorOf(L->ConstHi)),
                          std::to_string(divisorOf(L->ChildHi)), Base + "io",
                          Base + "ii", Base + "jo", Base + "ji", "perfect"}};
   }
   default:
-    return ScheduleStep{"simplify", {}};
+    return ScheduleStep{ops::Simplify, {}};
   }
 }
 
@@ -1123,13 +1017,15 @@ unsigned nameCounterFloor(const std::vector<ScheduleStep> &Trace) {
   return 100 + unsigned(Trace.size()) * 2;
 }
 
-/// The argument indices holding small positive integers, per op — the
-/// knobs numeric perturbation may turn.
+/// The index of the step's Tunable argument — the knob numeric
+/// perturbation may turn — or -1 (no knob, or a malformed step).
 int numericArgIndex(const ScheduleStep &S) {
-  if (S.Op == "split" || S.Op == "partition" || S.Op == "lift_alloc" ||
-      S.Op == "auto_divide" || S.Op == "tile2d")
-    return 1;
-  return -1;
+  const TraceOp *Op = findTraceOp(S.Op);
+  if (!Op || S.Args.size() != Op->Schema.size())
+    return -1;
+  auto It = std::find(Op->Schema.begin(), Op->Schema.end(),
+                      TraceArgKind::Tunable);
+  return It == Op->Schema.end() ? -1 : int(It - Op->Schema.begin());
 }
 
 } // namespace
@@ -1166,12 +1062,12 @@ exo::testing::mutateTrace(const ProcRef &P,
     if (!C.empty()) {
       ScheduleStep &S = Out[C[R.next() % C.size()]];
       int AI = numericArgIndex(S);
-      auto V = parseNum(S.Args[AI]);
+      auto V = parseTraceInt(S.Args[AI]);
       int64_t Old = V ? *V : 2;
       static const int64_t Factors[] = {2, 4, 8, 16, 32};
       int64_t New = Old;
       while (New == Old)
-        New = S.Op == "split" ? Factors[R.next() % 5]
+        New = S.Op == ops::Split ? Factors[R.next() % 5]
                               : std::max<int64_t>(1, Old + R.range(-2, 2));
       S.Args[AI] = std::to_string(New);
       return Out;

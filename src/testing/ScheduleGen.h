@@ -14,16 +14,22 @@
 /// what the corpus files, the reproducer shrinker, and the regression
 /// replayer exchange.
 ///
-/// The driver also hosts the deliberately-unsound test-only rewrite
-/// ("unsound_drop_iter") used by the acceptance test to prove the oracle
-/// can catch a semantics break.
+/// The trace grammar is one table of ops (name, typed argument schema,
+/// one apply calling the pattern-taking primitive) and one interpreter,
+/// applyStep; DESIGN.md, "Operator table and trace grammar", lists it.
+/// The table lives here, not in exo_scheduling, because instruction and
+/// config references resolve against exo_hwlibs. It also hosts the
+/// deliberately-unsound test-only rewrite ("unsound_drop_iter") used by
+/// the acceptance test to prove the oracle can catch a semantics break.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXO_TESTING_SCHEDULEGEN_H
 #define EXO_TESTING_SCHEDULEGEN_H
 
+#include "ir/Config.h"
 #include "ir/Proc.h"
+#include "scheduling/Schedule.h"
 #include "support/Error.h"
 #include "testing/Rng.h"
 
@@ -43,8 +49,50 @@ struct ScheduleStep {
   static Expected<ScheduleStep> parse(const std::string &Line);
 };
 
-/// Applies one step to \p P through the scheduling layer. Unknown
-/// operators and malformed arguments are errors; operator rejection is
+/// The argument types of the trace grammar.
+enum class TraceArgKind {
+  Loop,      ///< loop target: iterator name or loop pattern, optional @nav
+  Stmt,      ///< statement target: pattern, optional @nav
+  Count,     ///< selection width of the target, >= 1
+  Int,       ///< signed 64-bit integer
+  Tunable,   ///< an Int that trace mutation perturbs (at most one per op)
+  Name,      ///< free text: fresh names, buffers, windows, fields, values
+  Memory,    ///< memory name; registers the hardware library's memories
+  Tail,      ///< split tail: guard | cut | perfect
+  Precision, ///< f32 | f64 | i8 | i16 | i32
+  Instr,     ///< gemmini:<proc> | avx512:<proc> instruction reference
+  Config,    ///< gemmini:<config> configuration-struct reference
+};
+
+/// One parsed argument; the field its kind names is set.
+struct TraceArg {
+  std::string Str; ///< the text; for Loop/Stmt, the resolved pattern
+  int64_t Int = 0; ///< Count, Int, Tunable
+  scheduling::SplitTail Tail = scheduling::SplitTail::Guard;
+  ir::ScalarKind Precision = ir::ScalarKind::R;
+  ir::ProcRef Instr;
+  ir::ConfigRef Config;
+};
+
+/// One entry of the op table: the trace token (a scheduling::ops name,
+/// or the test-only unsound_drop_iter), the argument schema, and the
+/// apply that calls the pattern-taking primitive on parsed arguments.
+struct TraceOp {
+  const char *Name;
+  std::vector<TraceArgKind> Schema;
+  Expected<ir::ProcRef> (*Apply)(const ir::ProcRef &P,
+                                 const std::vector<TraceArg> &Args);
+};
+
+/// Every op the trace grammar knows, in table order.
+const std::vector<TraceOp> &traceOps();
+
+/// The table entry named \p Name, or null.
+const TraceOp *findTraceOp(const std::string &Name);
+
+/// Applies one step to \p P through the scheduling layer, interpreting
+/// it against the op table. Unknown operators, a wrong argument count
+/// and malformed arguments are Parse errors; operator rejection is
 /// reported exactly as the scheduling layer reported it.
 Expected<ir::ProcRef> applyStep(const ir::ProcRef &P, const ScheduleStep &S);
 

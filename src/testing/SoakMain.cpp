@@ -32,6 +32,7 @@
 
 #include "service/Protocol.h"
 
+#include "support/Deadline.h"
 #include "support/FaultInjector.h"
 #include "support/Signals.h"
 
@@ -53,14 +54,9 @@
 
 using namespace exo;
 using namespace exo::service;
+using support::nowMillis;
 
 namespace {
-
-int64_t nowMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// splitmix64: per-thread deterministic request mixing.
 struct Mix {

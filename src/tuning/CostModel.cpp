@@ -7,8 +7,8 @@
 #include "tuning/CostModel.h"
 
 #include "backend/Backend.h"
+#include "support/Deadline.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -48,12 +48,6 @@ bool signatureIsThreeMatrices(const EntryInfo &E) {
       return false;
   }
   return true;
-}
-
-double nowMillis() {
-  using namespace std::chrono;
-  return duration<double, std::milli>(steady_clock::now().time_since_epoch())
-      .count();
 }
 
 } // namespace
@@ -125,9 +119,9 @@ EvalResult CostModel::evaluate(const ProcRef &Candidate) {
   double BestMillis = 0;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     std::memset(C.data(), 0, C.size() * sizeof(float));
-    double T0 = nowMillis();
+    double T0 = support::nowMillisPrecise();
     ExecStatus St = BE.execute(M, Candidate->name(), Args);
-    double Dt = nowMillis() - T0;
+    double Dt = support::nowMillisPrecise() - T0;
     if (!St.ok()) {
       R.FailStage = St.Kind == ExecKind::Unsupported ? "unsupported"
                                                      : "execute";

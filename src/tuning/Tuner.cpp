@@ -8,11 +8,11 @@
 
 #include "analysis/EffectCache.h"
 #include "backend/Backend.h"
+#include "support/Deadline.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <set>
 
 using namespace exo;
@@ -23,12 +23,6 @@ namespace {
 
 std::atomic<uint64_t> GRunsStarted{0}, GRunsFinished{0}, GGenerationsDone{0},
     GCandidatesTried{0}, GCandidatesOk{0};
-
-double nowMillis() {
-  using namespace std::chrono;
-  return duration<double, std::milli>(steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Dedup key and deterministic tie-break: the proposed trace, one step
 /// per line.
@@ -81,7 +75,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
   }
 
   ++GRunsStarted;
-  double T0 = nowMillis();
+  double T0 = support::nowMillisPrecise();
   analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
   backend::JitBackend::CacheStats Jit0 = backend::JitBackend::cacheStats();
 
@@ -162,7 +156,8 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
       break;
     if (O.MaxCandidates && Out.Stats.Tried >= O.MaxCandidates)
       break;
-    if (O.DeadlineMillis && nowMillis() - T0 >= (double)O.DeadlineMillis)
+    if (O.DeadlineMillis &&
+        support::nowMillisPrecise() - T0 >= (double)O.DeadlineMillis)
       break;
 
     // Children: mutants of survivors, crossovers between survivors, and
@@ -202,7 +197,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
       Eff1.CrossCompileHits - Eff0.CrossCompileHits;
   Out.Stats.JitCompiles = Jit1.Compiles - Jit0.Compiles;
   Out.Stats.JitHits = Jit1.Hits - Jit0.Hits;
-  Out.Stats.WallMillis = nowMillis() - T0;
+  Out.Stats.WallMillis = support::nowMillisPrecise() - T0;
   Out.Stats.CandidatesPerSec =
       Out.Stats.WallMillis > 0
           ? 1000.0 * (double)Out.Stats.Tried / Out.Stats.WallMillis

@@ -134,6 +134,29 @@ TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
   EXPECT_GT(After.Hits, Before.Hits);
 }
 
+TEST(ConcurrencyTest, LoopVarUnpinningRacesWithInserts) {
+  // Even threads pin fresh For nodes past the record cap, so shards flush
+  // and unpin loop variables; odd threads extract fresh procs, whose
+  // inserts read the pinned set in their leak check. The set must stay
+  // within the cap of 8192 records.
+  analysis::clearEffectCache();
+  Sym Iter = Sym::fresh("t");
+  onThreads([&](unsigned T) {
+    if (T % 2 == 0) {
+      for (unsigned I = 0; I < 2500; ++I)
+        (void)analysis::stableLoopVar(Stmt::forStmt(
+            Iter, Expr::constInt(0), Expr::constInt(4), {Stmt::pass()}));
+      return;
+    }
+    for (unsigned R = 0; R < Reps / 4; ++R) {
+      analysis::AnalysisCtx Ctx;
+      analysis::FlowState FS;
+      (void)analysis::extractBlock(Ctx, FS, parseGemm()->body());
+    }
+  });
+  EXPECT_LE(analysis::effectCacheStats().LoopVars, 8192u);
+}
+
 TEST(ConcurrencyTest, ParallelSchedulingEmitsBitIdenticalC) {
   // The end-to-end determinism claim: compile the same schedule on every
   // thread — each from its own freshly parsed proc, all banging the same

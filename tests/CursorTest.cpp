@@ -201,7 +201,7 @@ TEST(CursorTest, DisjointCursorSurvivesEveryLoopPrimitive) {
   expectProbeLive(P, must(unrollLoop(P, "for i in _: _"), "unroll"),
                   "unroll");
   expectProbeLive(P, must(partitionLoop(P, "for i in _: _", 3), "partition"),
-                  "partition_loop");
+                  "partition");
   expectProbeLive(P, must(addGuard(P, "x[_] = _", "i < 8"), "guard"),
                   "add_guard");
   expectProbeLive(P, must(bindExpr(P, "y[_] = _", "2.0", "c"), "bind"),
@@ -209,7 +209,7 @@ TEST(CursorTest, DisjointCursorSurvivesEveryLoopPrimitive) {
   expectProbeLive(
       P,
       must(stageMem(P, "for i in _: _", 1, "x[0:8]", "xs"), "stage"),
-      "stage_mem");
+      "stage");
 
   // Primitives with structural preconditions get their own sources; the
   // probe statement is always the first, disjoint statement.
@@ -232,7 +232,7 @@ def fwd3(probe: R[4], x: R[8]):
         x[0] = 3.0
 )");
   expectProbeLive(Idem, must(removeLoop(Idem, "for i in _: _"), "remove"),
-                  "remove_loop");
+                  "remove");
 
   ProcRef Adj = mustParse(R"(
 @proc
@@ -244,7 +244,7 @@ def fwd4(probe: R[4], x: R[8], y: R[8]):
         y[j] = 2.0
 )");
   expectProbeLive(Adj, must(fuseLoops(Adj, "for i in _: _"), "fuse"),
-                  "fuse_loop");
+                  "fuse");
   expectProbeLive(Adj, must(reorderStmts(Adj, "for i in _: _"), "swap"),
                   "reorder_stmts");
   expectProbeLive(Adj, must(moveStmtUp(Adj, "for j in _: _"), "move up"),
@@ -259,7 +259,7 @@ def fwd8(probe: R[4], x: R[8], y: R[8]):
         y[i] = 2.0
 )");
   expectProbeLive(TwoStmt, must(fissionAfter(TwoStmt, "x[_] = _"), "fission"),
-                  "fission_after");
+                  "fission");
 
   ProcRef Guarded = mustParse(R"(
 @proc
@@ -687,6 +687,175 @@ def dup(x: R[4, 4]):
       must(ScheduleStep::parse("split|t @body.body.body|2|a|b|perfect"),
            "deep");
   EXPECT_FALSE(bool(applyStep(P, Deep)));
+
+  // Malformed numbers are Parse errors in both the plain and the @nav
+  // form: selection counts below 1, and integers that overflow int64.
+  for (const char *Line :
+       {"stage|for t in _: _|0|x[0:4, 0:4]|xs|DRAM",
+        "stage|for t in _: _|-1|x[0:4, 0:4]|xs|DRAM",
+        "stage|for t in _: _ @body|0|x[0:4, 0:4]|xs|DRAM",
+        "stage|for t in _: _ @body|-1|x[0:4, 0:4]|xs|DRAM",
+        "replace|x[_] = _|0|avx512:zero_ps",
+        "replace|x[_] = _|-1|avx512:zero_ps",
+        "replace|for t in _: _ @body.body|0|avx512:zero_ps",
+        "replace|for t in _: _ @body.body|-1|avx512:zero_ps",
+        "split|t|99999999999999999999|a|b|perfect",
+        "split|t @body|99999999999999999999|a|b|perfect",
+        "split|t|2|a|b|sideways"}) {
+    auto R = applyStep(P, must(ScheduleStep::parse(Line), "parse"));
+    if (R) {
+      ADD_FAILURE() << Line << " was accepted";
+      continue;
+    }
+    EXPECT_EQ(R.error().kind(), Error::Kind::Parse)
+        << Line << ": " << R.error().str();
+  }
+}
+
+TEST(CursorTest, TraceOpTableRoundTripsAndDerivesArity) {
+  using exo::testing::ScheduleStep;
+  using exo::testing::TraceOp;
+  using exo::testing::applyStep;
+  using exo::testing::findTraceOp;
+  using exo::testing::traceOps;
+
+  ProcRef P = mustParse(FwdSrc);
+  for (const TraceOp &Op : traceOps()) {
+    EXPECT_EQ(findTraceOp(Op.Name), &Op) << Op.Name << " is not unique";
+    ScheduleStep S{Op.Name, {}};
+    for (size_t I = 0; I < Op.Schema.size(); ++I)
+      S.Args.push_back("arg" + std::to_string(I));
+    ScheduleStep Back = must(ScheduleStep::parse(S.str()), "parse");
+    EXPECT_EQ(Back.Op, S.Op);
+    EXPECT_EQ(Back.Args, S.Args) << S.str();
+
+    S.Args.push_back("extra");
+    auto R = applyStep(P, S);
+    ASSERT_FALSE(bool(R)) << S.str();
+    EXPECT_EQ(R.error().kind(), Error::Kind::Parse);
+    EXPECT_EQ(R.error().message(),
+              std::string("trace op '") + Op.Name + "' expects " +
+                  std::to_string(Op.Schema.size()) + " args, got " +
+                  std::to_string(Op.Schema.size() + 1));
+  }
+}
+
+TEST(CursorTest, TraceOpNameIsRejectionAndDirtyRegionName) {
+  using exo::testing::ScheduleStep;
+  using exo::testing::applyStep;
+  using exo::testing::findTraceOp;
+
+  // Per primitive: a step the op accepts and a step it rejects with a
+  // structured payload, each on a small proc. The accepted rewrite's
+  // DirtyRegion::Op, the rejection's ScheduleErrorInfo::Op and the trace
+  // token must agree. Not covered here: set_precision records no region;
+  // the composites (hoist, tile2d, auto_divide, stage_vec) carry their
+  // last primitive's name; replace and config_write need hardware-library
+  // procs.
+  struct Case {
+    const char *AcceptSrc;
+    const char *Accept;
+    const char *RejectSrc;
+    const char *Reject;
+  };
+  const char *Loops = R"(
+@proc
+def loops(x: R[8], y: R[8]):
+    for i in seq(0, 8):
+        x[i] = 1.0
+    for j in seq(0, 8):
+        y[j] = 2.0
+)";
+  const char *Clash = R"(
+@proc
+def clash(x: R[9]):
+    for i in seq(0, 8):
+        x[i] = 1.0
+    for j in seq(0, 8):
+        x[j + 1] = 2.0
+)";
+  const char *Repeat = R"(
+@proc
+def repeat(x: R[8], y: R[8]):
+    for k in seq(0, 4):
+        x[0] = 3.0
+    for m in seq(0, 4):
+        y[0] += 1.0
+)";
+  const char *Nest = R"(
+@proc
+def nest(x: R[8, 8]):
+    for i in seq(0, 8):
+        for j in seq(0, 8):
+            x[i, j] = 1.0
+)";
+  const char *Skew = R"(
+@proc
+def skew(x: R[9, 9]):
+    for i in seq(0, 8):
+        for j in seq(0, 8):
+            x[i + 1, j] = x[i, j + 1]
+)";
+  const char *Stmts = R"(
+@proc
+def stmts(x: R[8], y: R[8], z: R[8]):
+    for i in seq(0, 8):
+        x[i] = 1.0
+        z[i] = x[i]
+        y[i] = 2.0
+)";
+  const char *Carried = R"(
+@proc
+def carried(x: R[9], y: R[9]):
+    for i in seq(0, 8):
+        x[i] = 1.0
+        y[i] = x[i + 1]
+)";
+  const char *Local = R"(
+@proc
+def local(x: R[8], b: bool):
+    for i in seq(0, 8):
+        t : R
+        t = 1.0
+        if b:
+            x[i] = t
+)";
+  const char *Guarded = R"(
+@proc
+def guarded(x: R[8], b: bool):
+    for i in seq(0, 8):
+        if b:
+            x[i] = 1.0
+)";
+  const Case Cases[] = {
+      {Loops, "split|i|4|io|ii|perfect", Loops, "split|i|3|io|ii|perfect"},
+      {Loops, "unroll|i", Loops, "unroll|k"},
+      {Guarded, "lift_if|if _: _", Local, "lift_if|t = _"},
+      {Local, "lift_alloc|t : _|1", Local, "lift_alloc|t = _|1"},
+      {Local, "set_memory|t|DRAM", Local, "set_memory|u|DRAM"},
+      {Loops, "partition|i|3", Loops, "partition|i|9"},
+      {Repeat, "remove|k", Repeat, "remove|m"},
+      {Loops, "fuse|i", Clash, "fuse|i"},
+      {Nest, "reorder|i", Skew, "reorder|i"},
+      {Stmts, "reorder_stmts|z[_] = _", Stmts, "reorder_stmts|x[_] = _"},
+      {Stmts, "move_up|y[_] = _", Stmts, "move_up|z[_] = _"},
+      {Stmts, "fission|x[_] = _", Carried, "fission|x[_] = _"},
+      {Loops, "stage|for i in _: _|1|x[0:8]|xs|DRAM", Loops,
+       "stage|for i in _: _|1|x[0:4]|xs|DRAM"},
+  };
+  for (const Case &C : Cases) {
+    ScheduleStep Acc = must(ScheduleStep::parse(C.Accept), "accept");
+    ScheduleStep Rej = must(ScheduleStep::parse(C.Reject), "reject");
+    ASSERT_NE(findTraceOp(Acc.Op), nullptr) << Acc.Op;
+    ProcRef Q = must(applyStep(mustParse(C.AcceptSrc), Acc), C.Accept);
+    ASSERT_TRUE(Q->dirtyRegion().has_value()) << C.Accept;
+    EXPECT_EQ(Q->dirtyRegion()->Op, Acc.Op) << C.Accept;
+
+    auto R = applyStep(mustParse(C.RejectSrc), Rej);
+    ASSERT_FALSE(bool(R)) << C.Reject << " was accepted";
+    ASSERT_NE(R.error().scheduleInfo(), nullptr) << R.error().str();
+    EXPECT_EQ(R.error().scheduleInfo()->Op, Rej.Op) << R.error().str();
+  }
 }
 
 } // namespace

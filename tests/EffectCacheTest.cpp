@@ -211,6 +211,24 @@ class BoundCfg:
   EXPECT_LE(S.Size, 8192u);
 }
 
+TEST(EffectCacheTest, PinnedLoopVarsStayWithinTheTableCap) {
+  // Each For node analyzed pins one stable loop variable. A daemon sees
+  // an unbounded stream of fresh nodes; the set of pinned ids must be
+  // flushed with the records that pinned them, so it stays within the
+  // record cap of 8192.
+  clearEffectCache();
+  Sym Iter = Sym::fresh("i");
+  for (unsigned I = 0; I < 9000; ++I)
+    (void)stableLoopVar(Stmt::forStmt(Iter, Expr::constInt(0),
+                                      Expr::constInt(4), {Stmt::pass()}));
+  EffectCacheStats S = effectCacheStats();
+  EXPECT_GT(S.Evictions, 0u);
+  EXPECT_LE(S.Size, 8192u);
+  EXPECT_LE(S.LoopVars, 8192u);
+  clearEffectCache();
+  EXPECT_EQ(effectCacheStats().LoopVars, 0u);
+}
+
 TEST(EffectCacheTest, ParallelWarmExtractionsMatchCold) {
   // N threads extract the same proc concurrently through the shared
   // sharded cache; every thread's summary must be semantically identical
