@@ -21,8 +21,10 @@
 /// build tree, never at run time), so simulator state is module-local
 /// under RTLD_LOCAL. The backend installs a host-side recording handler
 /// into that copy at load time. execute() clears the module's trap state
-/// before the call and reports ExecKind::Trap after it, so a trapping
-/// candidate fails the case — never the process.
+/// and region registry before the call and reports ExecKind::Trap after
+/// it, so a trapping candidate fails the case — never the process — and
+/// entries that share a module cannot leak bounds-check state into each
+/// other.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,11 +58,14 @@ extern "C" void exoJitTrapSink(int, const char *) {}
 /// points of the module's own runtime copies, resolved once at load.
 struct SimBridge {
   void (*ClearTraps)() = nullptr;
+  void (*ClearRegions)() = nullptr;
   uint64_t (*TrapCount)() = nullptr;
   int (*LastTrap)() = nullptr;
   const char *(*TrapName)(int) = nullptr;
 
-  bool present() const { return ClearTraps && TrapCount && LastTrap; }
+  bool present() const {
+    return ClearTraps && ClearRegions && TrapCount && LastTrap;
+  }
 };
 
 /// One compiled .so. Owned by shared_ptr from both the cache and every
@@ -96,6 +101,8 @@ SimBridge resolveBridge(JitModule &M, const std::string &Prefix) {
   SimBridge B;
   B.ClearTraps = reinterpret_cast<void (*)()>(
       M.symbol(Prefix + "_clear_traps"));
+  B.ClearRegions = reinterpret_cast<void (*)()>(
+      M.symbol(Prefix + "_clear_regions"));
   B.TrapCount =
       reinterpret_cast<uint64_t (*)()>(M.symbol(Prefix + "_trap_count"));
   B.LastTrap = reinterpret_cast<int (*)()>(M.symbol(Prefix + "_last_trap"));
@@ -271,11 +278,16 @@ ExecStatus JitBackend::execute(LoweredModule &M, const std::string &Entry,
     }
   }
 
-  std::lock_guard<std::mutex> Lock(J->Mu); // sim state is module-global
-  if (J->Gemmini.present())
-    J->Gemmini.ClearTraps();
-  if (J->Amx.present())
-    J->Amx.ClearTraps();
+  // Sim state is module-global. Each call starts with no recorded traps
+  // and an empty region registry: a module may hold many entries, and an
+  // earlier call's leftovers (a registry overflow disables bounds checks
+  // for good) must not decide a later call's verdict.
+  std::lock_guard<std::mutex> Lock(J->Mu);
+  for (const SimBridge *B : {&J->Gemmini, &J->Amx})
+    if (B->present()) {
+      B->ClearTraps();
+      B->ClearRegions();
+    }
 
   Fn(Ptrs.data());
 

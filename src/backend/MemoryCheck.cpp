@@ -102,9 +102,12 @@ private:
         break;
       case StmtKind::Call: {
         // Instructions access their operands through hardware; plain
-        // callees are checked recursively with the memae of the actuals.
-        if (S->proc()->isInstr())
+        // callees are checked recursively with the memories of the
+        // actuals.
+        if (S->proc()->isInstr()) {
+          checkInstrOperands(*S->proc(), S, Mem, ProcName);
           break;
+        }
         if (!Visited.insert(S->proc().get()).second)
           break;
         checkProcWithArgMems(*S->proc(), S, Mem);
@@ -116,6 +119,39 @@ private:
     }
   }
 
+  /// The memory of the buffer an actual argument reads or windows; empty
+  /// for anything else (control values, untracked names).
+  static std::string actualMemory(
+      const ExprRef &Actual,
+      const std::unordered_map<Sym, std::string> &Mem) {
+    if (Actual->kind() != ExprKind::Read &&
+        Actual->kind() != ExprKind::WindowExpr)
+      return "";
+    auto It = Mem.find(Actual->name());
+    return It == Mem.end() ? "" : It->second;
+  }
+
+  /// An instruction formal in a non-addressable memory names where the
+  /// hardware reads or writes: the actual must live in that memory, or the
+  /// instruction would treat a host buffer as, say, scratchpad rows.
+  /// Addressable formals (AVX512 registers) accept any actual: the x86
+  /// conv kernel broadcasts DRAM weights straight into an fmadd.
+  void checkInstrOperands(const Proc &Instr, const StmtRef &CallSite,
+                          const std::unordered_map<Sym, std::string> &Mem,
+                          const std::string &ProcName) {
+    for (size_t I = 0; I < Instr.args().size(); ++I) {
+      const FnArg &A = Instr.args()[I];
+      if (A.Ty.isControl() || addressable(A.Mem, ProcName))
+        continue;
+      std::string Got = actualMemory(CallSite->args()[I], Mem);
+      if (!Got.empty() && Got != A.Mem)
+        fail("instruction '" + Instr.name() + "' needs argument '" +
+             A.Name.name() + "' in memory '" + A.Mem + "', but '" +
+             CallSite->args()[I]->name().name() + "' lives in '" + Got +
+             "' (in " + ProcName + ")");
+    }
+  }
+
   void checkProcWithArgMems(const Proc &Callee, const StmtRef &CallSite,
                             const std::unordered_map<Sym, std::string> &Mem) {
     std::unordered_map<Sym, std::string> CalleeMem;
@@ -123,15 +159,8 @@ private:
       const FnArg &A = Callee.args()[I];
       if (A.Ty.isControl())
         continue;
-      const ExprRef &Actual = CallSite->args()[I];
-      std::string M = A.Mem;
-      if (Actual->kind() == ExprKind::Read ||
-          Actual->kind() == ExprKind::WindowExpr) {
-        auto It = Mem.find(Actual->name());
-        if (It != Mem.end())
-          M = It->second;
-      }
-      CalleeMem[A.Name] = M;
+      std::string M = actualMemory(CallSite->args()[I], Mem);
+      CalleeMem[A.Name] = M.empty() ? A.Mem : M;
     }
     checkBlock(Callee.body(), std::move(CalleeMem), Callee.name());
   }

@@ -51,7 +51,9 @@ private:
 
 /// The whole hardware library, written in Exo surface syntax. Real AMX
 /// passes strides in every tileloadd; the model keeps them in config
-/// state so there is configuration cost for schedules to hoist.
+/// state so there is configuration cost for schedules to hoist. Every
+/// instruction names the simulator header as its C global, as in the
+/// Gemmini library.
 const char *AmxSource = R"x(
 @config
 class AmxCfgLdA:
@@ -65,19 +67,19 @@ class AmxCfgLdB:
 class AmxCfgSt:
     dst_stride : stride
 
-@instr("amx_config_ld_a({s});")
+@instr("amx_config_ld_a({s});", "#include \"amx_sim.h\"")
 def amx_config_ld_a(s: stride):
     AmxCfgLdA.src_stride = s
 
-@instr("amx_config_ld_b({s});")
+@instr("amx_config_ld_b({s});", "#include \"amx_sim.h\"")
 def amx_config_ld_b(s: stride):
     AmxCfgLdB.src_stride = s
 
-@instr("amx_config_st({s});")
+@instr("amx_config_st({s});", "#include \"amx_sim.h\"")
 def amx_config_st(s: stride):
     AmxCfgSt.dst_stride = s
 
-@instr("amx_tile_load_a({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});")
+@instr("amx_tile_load_a({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});", "#include \"amx_sim.h\"")
 def amx_ld_tile_a(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ AMX_TILE):
     assert n <= 16
     assert m <= 16
@@ -86,7 +88,7 @@ def amx_ld_tile_a(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ AMX_TILE):
         for j in seq(0, m):
             dst[i, j] = src[i, j]
 
-@instr("amx_tile_load_b({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});")
+@instr("amx_tile_load_b({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});", "#include \"amx_sim.h\"")
 def amx_ld_tile_b(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ AMX_TILE):
     assert n <= 16
     assert m <= 16
@@ -95,7 +97,7 @@ def amx_ld_tile_b(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ AMX_TILE):
         for j in seq(0, m):
             dst[i, j] = src[i, j]
 
-@instr("amx_tile_zero({t}.data, {t}.strides[0], {n}, {m});")
+@instr("amx_tile_zero({t}.data, {t}.strides[0], {n}, {m});", "#include \"amx_sim.h\"")
 def amx_zero_tile(n: size, m: size, t: [R][n, 16] @ AMX_TILE):
     assert n <= 16
     assert m <= 16
@@ -103,7 +105,7 @@ def amx_zero_tile(n: size, m: size, t: [R][n, 16] @ AMX_TILE):
         for j in seq(0, m):
             t[i, j] = 0.0
 
-@instr("amx_tile_dp({a}.data, {a}.strides[0], {b}.data, {b}.strides[0], {c}.data, {c}.strides[0], {n}, {m}, {k});")
+@instr("amx_tile_dp({a}.data, {a}.strides[0], {b}.data, {b}.strides[0], {c}.data, {c}.strides[0], {n}, {m}, {k});", "#include \"amx_sim.h\"")
 def amx_tdp16(n: size, m: size, k: size, a: [R][n, 16] @ AMX_TILE, b: [R][k, 16] @ AMX_TILE, c: [R][n, 16] @ AMX_TILE):
     assert n <= 16
     assert m <= 16
@@ -113,7 +115,7 @@ def amx_tdp16(n: size, m: size, k: size, a: [R][n, 16] @ AMX_TILE, b: [R][k, 16]
             for kk in seq(0, k):
                 c[i, j] += a[i, kk] * b[kk, j]
 
-@instr("amx_tile_store_acc({dst}.data, {src}.data, {src}.strides[0], {n}, {m});")
+@instr("amx_tile_store_acc({dst}.data, {src}.data, {src}.strides[0], {n}, {m});", "#include \"amx_sim.h\"")
 def amx_st_tile_acc(n: size, m: size, src: [R][n, 16] @ AMX_TILE, dst: [R][n, m]):
     assert n <= 16
     assert m <= 16

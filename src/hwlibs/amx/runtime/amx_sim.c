@@ -121,6 +121,11 @@ void amx_tile_untrack(const float *base) {
     }
 }
 
+void amx_clear_regions(void) {
+  tile_set.count = 0;
+  tile_set.disabled = 0;
+}
+
 /* A strided 2-D access [ptr, ptr + (rows-1)*stride + cols) must sit
  * inside a single registered tile buffer. Best-effort by design: with no
  * regions registered or after overflow it always passes. */

@@ -84,6 +84,9 @@ void amx_clear_traps(void);
  * than raising false traps. */
 void amx_tile_track(const float *base, int64_t n_floats);
 void amx_tile_untrack(const float *base);
+/* Forgets every tracked tile buffer and re-enables checking after an
+ * overflow (called between kernels that share one simulator copy). */
+void amx_clear_regions(void);
 
 /* Fault-injection hook: called at the top of every data instruction;
  * returning nonzero raises AMX_TRAP_INJECTED. NULL (default) = off. */

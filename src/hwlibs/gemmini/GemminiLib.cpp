@@ -60,7 +60,9 @@ private:
 };
 
 /// The whole hardware library, written in Exo surface syntax — this is
-/// the hw_lib.py of the paper's running example.
+/// the hw_lib.py of the paper's running example. Every instruction names
+/// the simulator header as its C global, so a module that calls one links
+/// the simulator even when it allocates no accelerator memory.
 const char *GemminiSource = R"x(
 @config
 class ConfigLd1:
@@ -74,19 +76,19 @@ class ConfigLd2:
 class ConfigSt:
     dst_stride : stride
 
-@instr("gemmini_config_ld({s});")
+@instr("gemmini_config_ld({s});", "#include \"gemmini_sim.h\"")
 def gemmini_config_ld1(s: stride):
     ConfigLd1.src_stride = s
 
-@instr("gemmini_config_ld2({s});")
+@instr("gemmini_config_ld2({s});", "#include \"gemmini_sim.h\"")
 def gemmini_config_ld2(s: stride):
     ConfigLd2.src_stride = s
 
-@instr("gemmini_config_st({s});")
+@instr("gemmini_config_st({s});", "#include \"gemmini_sim.h\"")
 def gemmini_config_st(s: stride):
     ConfigSt.dst_stride = s
 
-@instr("gemmini_mvin({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});")
+@instr("gemmini_mvin({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});", "#include \"gemmini_sim.h\"")
 def gemmini_ld_data(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ GEMM_SCRATCH):
     assert n <= 16
     assert m <= 16
@@ -95,7 +97,7 @@ def gemmini_ld_data(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ GEMM_SCR
         for j in seq(0, m):
             dst[i, j] = src[i, j]
 
-@instr("gemmini_mvin2({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});")
+@instr("gemmini_mvin2({src}.data, {dst}.data, {dst}.strides[0], {n}, {m});", "#include \"gemmini_sim.h\"")
 def gemmini_ld_data2(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ GEMM_SCRATCH):
     assert n <= 16
     assert m <= 16
@@ -104,7 +106,7 @@ def gemmini_ld_data2(n: size, m: size, src: [R][n, m], dst: [R][n, 16] @ GEMM_SC
         for j in seq(0, m):
             dst[i, j] = src[i, j]
 
-@instr("gemmini_zero_acc({c}.data, {c}.strides[0], {n}, {m});")
+@instr("gemmini_zero_acc({c}.data, {c}.strides[0], {n}, {m});", "#include \"gemmini_sim.h\"")
 def gemmini_zero_acc_i(n: size, m: size, c: [R][n, 16] @ GEMM_ACC):
     assert n <= 16
     assert m <= 16
@@ -112,7 +114,7 @@ def gemmini_zero_acc_i(n: size, m: size, c: [R][n, 16] @ GEMM_ACC):
         for j in seq(0, m):
             c[i, j] = 0.0
 
-@instr("gemmini_matmul({a}.data, {a}.strides[0], {b}.data, {b}.strides[0], {c}.data, {c}.strides[0], {n}, {m}, {k});")
+@instr("gemmini_matmul({a}.data, {a}.strides[0], {b}.data, {b}.strides[0], {c}.data, {c}.strides[0], {n}, {m}, {k});", "#include \"gemmini_sim.h\"")
 def gemmini_matmul16(n: size, m: size, k: size, a: [R][n, 16] @ GEMM_SCRATCH, b: [R][k, 16] @ GEMM_SCRATCH, c: [R][n, 16] @ GEMM_ACC):
     assert n <= 16
     assert m <= 16
@@ -122,7 +124,7 @@ def gemmini_matmul16(n: size, m: size, k: size, a: [R][n, 16] @ GEMM_SCRATCH, b:
             for kk in seq(0, k):
                 c[i, j] += a[i, kk] * b[kk, j]
 
-@instr("gemmini_mvout_acc({dst}.data, {src}.data, {src}.strides[0], {n}, {m});")
+@instr("gemmini_mvout_acc({dst}.data, {src}.data, {src}.strides[0], {n}, {m});", "#include \"gemmini_sim.h\"")
 def gemmini_st_acc(n: size, m: size, src: [R][n, 16] @ GEMM_ACC, dst: [R][n, m]):
     assert n <= 16
     assert m <= 16
@@ -131,7 +133,7 @@ def gemmini_st_acc(n: size, m: size, src: [R][n, 16] @ GEMM_ACC, dst: [R][n, m])
         for j in seq(0, m):
             dst[i, j] += src[i, j]
 
-@instr("gemmini_mvout_relu({dst}.data, {src}.data, {src}.strides[0], {n}, {m});")
+@instr("gemmini_mvout_relu({dst}.data, {src}.data, {src}.strides[0], {n}, {m});", "#include \"gemmini_sim.h\"")
 def gemmini_st_acc_relu(n: size, m: size, src: [R][n, 16] @ GEMM_ACC, dst: [R][n, m]):
     assert n <= 16
     assert m <= 16

@@ -162,6 +162,13 @@ void gemmini_acc_track(const float *base, int64_t n_floats) {
 }
 void gemmini_acc_untrack(const float *base) { region_untrack(&acc_set, base); }
 
+void gemmini_clear_regions(void) {
+  spad_set.count = 0;
+  spad_set.disabled = 0;
+  acc_set.count = 0;
+  acc_set.disabled = 0;
+}
+
 /* Shared operand validation for one strided 2-D access. `set` is the
  * scratchpad-side registry to check against, or NULL for DRAM pointers
  * (host memory: only null-checked). Returns nonzero when the caller must

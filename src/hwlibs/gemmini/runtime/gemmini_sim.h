@@ -97,6 +97,11 @@ void gemmini_spad_track(const float *base, int64_t n_floats);
 void gemmini_spad_untrack(const float *base);
 void gemmini_acc_track(const float *base, int64_t n_floats);
 void gemmini_acc_untrack(const float *base);
+/* Forgets every tracked region of both kinds and re-enables checking after
+ * an overflow. Hosts that run several kernels in one simulator copy call
+ * it between kernels, so one kernel's leftovers cannot switch off the
+ * next kernel's checks. */
+void gemmini_clear_regions(void);
 
 /* Fault-injection hook: called at the top of every data instruction;
  * returning nonzero raises GEMMINI_TRAP_INJECTED. NULL (default) = off. */

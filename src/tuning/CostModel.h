@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scores one scheduled candidate end to end: lower through the JIT
+/// Scores scheduled candidates end to end: lower through the JIT
 /// backend, execute on fixed pseudo-random inputs, verify the output
 /// against a host-side reference (a wrong answer is a dead candidate, not
 /// a fast one), and read the cost out of the module's own simulator copy.
@@ -23,19 +23,35 @@
 ///  * WallClock (avx512 sgemm): best-of-reps wall time of the in-process
 ///    call, in milliseconds.
 ///
-/// Lower is better in both. Lowering happens concurrently across
-/// threads (the JIT compiles outside any lock); execution and simulator
-/// reads are serialized on one mutex — sim state is module-global, and
-/// wall-clock numbers mean nothing when candidates time each other's
-/// cache pressure.
+/// Lower is better in both.
+///
+/// Evaluation works on batches: one tuner generation at a time. Each
+/// candidate is lowered once, which gives its lower/unsupported verdict
+/// and its C source. The source is the run-local key: a source this
+/// CostModel already compiled runs again in the module that holds it.
+/// New sources are dealt round-robin into at most one module per pool
+/// thread (several sources in one module get unique entry names); the
+/// modules build concurrently, and each module's entries then run in
+/// order on one pool thread. Every call starts clean: fresh copies of the
+/// inputs, a simulator reset, and (in the backend) cleared traps and an
+/// empty region registry. Every module links its own simulator copy, so
+/// SimCycles candidates in different modules execute at the same time;
+/// WallClock execution stays serialized on one mutex, since wall-clock
+/// numbers mean nothing when candidates time each other's cache
+/// pressure. A shared module that fails to build falls back to one
+/// module per candidate, so no verdict depends on which candidates
+/// shared a module.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXO_TUNING_COSTMODEL_H
 #define EXO_TUNING_COSTMODEL_H
 
+#include "backend/Backend.h"
+#include "support/ThreadPool.h"
 #include "tuning/SearchSpace.h"
 
+#include <map>
 #include <mutex>
 
 namespace exo {
@@ -62,23 +78,48 @@ struct EvalResult {
   double Score = 0;        ///< the number the tuner ranks by
 };
 
-/// Holds the fixed inputs and the host reference for one kernel shape.
-/// Thread-safe: evaluate() may be called from many threads at once.
+/// Holds the fixed inputs, the host reference, and the modules compiled
+/// so far for one kernel shape. One CostModel serves one search: the
+/// modules it compiled live as long as it does. Thread-safe: concurrent
+/// evaluate() calls run one after another.
 class CostModel {
 public:
   CostModel(const KernelShape &Shape, Metric M);
 
   Metric metric() const { return TheMetric; }
 
-  /// Scores \p Candidate (a scheduled clone of the search space's
-  /// algorithm; the signature must still be the three R/f32 matrices).
+  /// Scores every candidate (scheduled clones of the search space's
+  /// algorithm; the signature must still be the three R/f32 matrices),
+  /// building and running modules on \p Pool. Returns one verdict per
+  /// candidate, in order. The module count is \p Pool's thread count
+  /// (at least one).
+  std::vector<EvalResult> evaluate(const std::vector<ir::ProcRef> &Candidates,
+                                   support::ThreadPool &Pool);
+
+  /// The one-candidate batch, on the calling thread.
   EvalResult evaluate(const ir::ProcRef &Candidate);
 
+  /// Where this CostModel compiled \p Candidate's source: the module and
+  /// the entry name. The module is null when the source was never
+  /// compiled here. Callers reach that module's simulator copy through
+  /// it (tests install fault hooks this way).
+  struct Placement {
+    backend::LoweredModuleRef Module;
+    std::string Entry;
+  };
+  Placement placement(const ir::ProcRef &Candidate);
+
 private:
+  EvalResult run(backend::LoweredModule &M, const std::string &Entry);
+
   KernelShape Shape;
   Metric TheMetric;
   std::vector<float> InA, InB, RefC;
-  std::mutex ExecMu; ///< serializes execution + simulator reads
+  std::string Salt; ///< keeps this search's modules out of other searches
+  std::mutex BatchMu; ///< one batch at a time
+  std::mutex ExecMu;  ///< serializes WallClock execution
+  /// Run-local key: candidate source -> where it was compiled.
+  std::map<std::string, Placement> Compiled;
 };
 
 } // namespace tuning

@@ -202,7 +202,7 @@ void printResult(const TuneOptions &O, const TuneResult &R) {
     std::printf("\n");
   }
   std::printf("  %llu candidates in %.0f ms (%.2f/s); effect cache: %llu "
-              "cross-compile hits; jit: %llu compiles, %llu hits\n",
+              "cross-compile hits; jit: %llu modules compiled, %llu hits\n",
               (unsigned long long)R.Stats.Tried, R.Stats.WallMillis,
               R.Stats.CandidatesPerSec,
               (unsigned long long)R.Stats.EffectCrossCompileHits,

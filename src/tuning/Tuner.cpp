@@ -35,23 +35,30 @@ std::string keyOf(const std::vector<ScheduleStep> &Trace) {
   return K;
 }
 
-/// Evaluates every candidate of \p Pop in parallel. Results land in the
-/// candidates themselves; no draw of the search RNG happens here, so the
-/// fan-out cannot perturb determinism.
+/// Evaluates one generation: the traces are applied in parallel on
+/// \p Pool, then the cost model scores the whole generation as one batch
+/// on the same pool. Results land in the candidates themselves; no draw
+/// of the search RNG happens here, so the fan-out cannot perturb
+/// determinism.
 void evaluateAll(std::vector<Candidate> &Pop, const SearchSpace &Space,
                  CostModel &CM, support::ThreadPool &Pool) {
-  for (Candidate &C : Pop) {
-    Pool.submit([&C, &Space, &CM] {
-      LenientApplyResult A = applyTraceLenient(Space.Algorithm, C.Trace);
-      C.Applied = std::move(A.Applied);
-      C.Rejected = A.Rejected;
-      C.Eval = CM.evaluate(A.Final);
-      ++GCandidatesTried;
-      if (C.Eval.Ok)
-        ++GCandidatesOk;
+  std::vector<ir::ProcRef> Procs(Pop.size());
+  for (size_t I = 0; I < Pop.size(); ++I)
+    Pool.submit([&, I] {
+      LenientApplyResult A = applyTraceLenient(Space.Algorithm, Pop[I].Trace);
+      Pop[I].Applied = std::move(A.Applied);
+      Pop[I].Rejected = A.Rejected;
+      Procs[I] = A.Final;
     });
-  }
   Pool.waitIdle();
+
+  std::vector<EvalResult> Evals = CM.evaluate(Procs, Pool);
+  for (size_t I = 0; I < Pop.size(); ++I) {
+    Pop[I].Eval = std::move(Evals[I]);
+    ++GCandidatesTried;
+    if (Pop[I].Eval.Ok)
+      ++GCandidatesOk;
+  }
 }
 
 bool betterThan(const Candidate &A, const Candidate &B) {

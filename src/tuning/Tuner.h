@@ -14,10 +14,12 @@
 /// simulator's cycle counter). Rejected steps, failed lowers, traps, and
 /// wrong answers are all priced the same way: the candidate is dead.
 ///
-/// Parallelism and determinism: candidate evaluations fan out over a
-/// work-stealing pool, while every random draw happens serially on the
-/// driver thread before the fan-out. Same seed, same result, at any
-/// thread count.
+/// Parallelism and determinism: trace application fans out over a
+/// work-stealing pool, and the cost model scores each generation as one
+/// batch on the same pool (one JIT module per thread, built and run
+/// concurrently). Every random draw happens serially on the driver
+/// thread before the fan-out, and no verdict depends on how candidates
+/// were split into modules. Same seed, same result, at any thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +63,8 @@ struct TuneStats {
   double WallMillis = 0;
   double CandidatesPerSec = 0;
   uint64_t EffectHits = 0, EffectCrossCompileHits = 0;
+  /// JIT modules compiled, not candidates: a generation builds at most
+  /// one module per evaluation thread.
   uint64_t JitCompiles = 0, JitHits = 0;
 };
 

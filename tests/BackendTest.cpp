@@ -9,8 +9,9 @@
 // csource and jit backends (and against raw generateC), a csource-vs-jit
 // differential over the pinned fuzz corpus, the JIT module cache
 // counters, in-process trap containment via the simulator fault hook,
-// simulator state kept private to each module, and the AMX and Gemmini
-// matmul case studies end-to-end through both backends.
+// simulator state kept private to each module, the region registry reset
+// before every call, instruction globals that link the simulator, and the
+// AMX and Gemmini matmul case studies end-to-end through both backends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "apps/GemminiMatmul.h"
 #include "driver/KernelSuite.h"
 #include "frontend/Parser.h"
+#include "hwlibs/gemmini/GemminiLib.h"
 #include "support/TempDir.h"
 #include "testing/Corpus.h"
 
@@ -61,6 +63,15 @@ ProcRef addOneProc(const std::string &Name = "add_one") {
 /// Host-side fault hook handed to a module's simulator copy; returning
 /// nonzero makes the next accelerator instruction raise INJECTED.
 extern "C" int exoTestAlwaysFault() { return 1; }
+
+/// Parses \p Src against the Gemmini hardware library.
+ProcRef mustParseGemmini(const std::string &Src) {
+  frontend::ParseEnv Env = hw::gemmini::gemminiLib().Env;
+  auto P = frontend::parseProc(Src, Env);
+  if (!P)
+    fatalError("test parse failed: " + P.error().str());
+  return *P;
+}
 
 } // namespace
 
@@ -443,6 +454,74 @@ TEST(JitTrap, SimulatorStateIsPrivatePerModule) {
   SetFaultA(nullptr);
   EXPECT_EQ(TA.Kind, ExecKind::Trap) << TA.Detail;
   EXPECT_TRUE(TB.ok()) << execKindName(TB.Kind) << ": " << TB.Detail;
+}
+
+TEST(JitTrap, RegionRegistryIsClearedBeforeEveryCall) {
+  // The matmul reads 16 rows of an 8-row scratchpad buffer: out of
+  // bounds, so the simulator's region check must trap. Overflowing the
+  // registry first would switch that check off for good if the registry
+  // survived from one call to the next. (The stray access is a read, so
+  // a missed trap fails the test instead of corrupting the stack.)
+  ProcRef P = mustParseGemmini(R"(
+@proc
+def spad_overread(C: R[16, 16]):
+    a : R[8, 16] @ GEMM_SCRATCH
+    b : R[16, 16] @ GEMM_SCRATCH
+    acc : R[16, 16] @ GEMM_ACC
+    gemmini_matmul16(16, 16, 16, a[0:16, 0:16], b[0:16, 0:16], acc[0:16, 0:16])
+)");
+  JitBackend &BE = jitBackend();
+  auto M = BE.lower(P);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  using TrackFn = void (*)(const float *, int64_t);
+  auto Track = reinterpret_cast<TrackFn>(
+      BE.moduleSymbol(**M, "gemmini_spad_track"));
+  ASSERT_NE(Track, nullptr) << "module is missing its gemmini_sim copy";
+
+  static float Dummy[200];
+  for (float &D : Dummy)
+    Track(&D, 1); // 200 > the registry's 128 slots: checking disabled
+
+  std::vector<float> C(16 * 16, 0.0f);
+  BufferSet Args = {RunArg::buffer(C.data(), C.size() * sizeof(float))};
+  ExecStatus S = BE.execute(**M, P->name(), Args);
+  EXPECT_EQ(S.Kind, ExecKind::Trap) << execKindName(S.Kind) << ": "
+                                    << S.Detail;
+  EXPECT_NE(S.Detail.find("sim trap"), std::string::npos) << S.Detail;
+}
+
+TEST(JitExec, ConfigOnlyAcceleratorCallLinksTheSimulator) {
+  // The only accelerator call is a configuration instruction and no
+  // buffer lives in accelerator memory; the instruction's own global
+  // must still pull in (and link) the simulator.
+  ProcRef P = mustParseGemmini(R"(
+@proc
+def config_only(A: R[16, 16], B: R[16, 16]):
+    gemmini_config_ld1(stride(A, 0))
+    for i in seq(0, 16):
+        for j in seq(0, 16):
+            B[i, j] = A[i, j]
+)");
+  JitBackend &BE = jitBackend();
+  auto M = BE.lower(P);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  EXPECT_NE((*M)->source().find("#include \"gemmini_sim.h\""),
+            std::string::npos)
+      << (*M)->source();
+
+  std::vector<float> A(16 * 16), B(16 * 16, 0.0f);
+  for (size_t I = 0; I < A.size(); ++I)
+    A[I] = static_cast<float>(I);
+  BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                    RunArg::buffer(B.data(), B.size() * sizeof(float))};
+  ExecStatus S = BE.execute(**M, P->name(), Args);
+  ASSERT_TRUE(S.ok()) << execKindName(S.Kind) << ": " << S.Detail;
+  EXPECT_EQ(A, B);
+  using StatFn = uint64_t (*)();
+  auto ConfigWrites = reinterpret_cast<StatFn>(
+      BE.moduleSymbol(**M, "gemmini_stat_config_writes"));
+  ASSERT_NE(ConfigWrites, nullptr);
+  EXPECT_EQ(ConfigWrites(), 1u);
 }
 
 TEST(GemminiMatmul, CSourceHarnessMatchesJit) {

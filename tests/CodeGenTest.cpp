@@ -9,6 +9,7 @@
 #include "backend/Backend.h"
 #include "backend/Checks.h"
 #include "backend/Memory.h"
+#include "hwlibs/gemmini/GemminiLib.h"
 #include "interp/Interp.h"
 #include "scheduling/Schedule.h"
 
@@ -123,6 +124,35 @@ def f(x: R[8]):
   auto C = generateC(P);
   ASSERT_FALSE(bool(C));
   EXPECT_EQ(C.error().kind(), Error::Kind::Backend);
+}
+
+TEST(CodeGenTest, InstrOperandInWrongAcceleratorMemoryRejected) {
+  // gemmini_matmul16 accumulates into a GEMM_ACC formal; handing it the
+  // DRAM output directly would let the simulator treat a host matrix as
+  // accumulator rows. The error names the formal and both memories.
+  ParseEnv Env = hw::gemmini::gemminiLib().Env;
+  auto Kernel = [&](const std::string &Name, const std::string &CAlloc,
+                    const std::string &CArg) {
+    return mustParse("@proc\n"
+                     "def " + Name + "(A: R[16, 16], B: R[16, 16], "
+                     "C: R[16, 16]):\n"
+                     "    a : R[16, 16] @ GEMM_SCRATCH\n"
+                     "    b : R[16, 16] @ GEMM_SCRATCH\n" + CAlloc +
+                         "    gemmini_matmul16(16, 16, 16, a[0:16, 0:16], "
+                         "b[0:16, 0:16], " + CArg + "[0:16, 0:16])\n",
+                     &Env);
+  };
+
+  auto Bad = generateC(Kernel("mm_dram_acc", "", "C"));
+  ASSERT_FALSE(bool(Bad)) << *Bad;
+  EXPECT_EQ(Bad.error().kind(), Error::Kind::Backend);
+  EXPECT_EQ(Bad.error().message(),
+            "instruction 'gemmini_matmul16' needs argument 'c' in memory "
+            "'GEMM_ACC', but 'C' lives in 'DRAM' (in mm_dram_acc)");
+
+  auto Good = generateC(
+      Kernel("mm_staged_acc", "    c : R[16, 16] @ GEMM_ACC\n", "c"));
+  EXPECT_TRUE(bool(Good)) << Good.error().str();
 }
 
 TEST(CodeGenTest, MixedPrecisionRejected) {

@@ -7,8 +7,9 @@
 /// \file
 /// Hammers every shared compiler structure — the sharded term interner,
 /// the striped solver query cache, the effect-summary cache, the symbol
-/// table, and the thread pool itself — from many threads at once, and
-/// asserts the results are bit-identical to a serial run. Built as its
+/// table, the thread pool itself, and the autotuner's concurrent module
+/// builds and executions — from many threads at once, and asserts the
+/// results are bit-identical to a serial run. Built as its
 /// own binary so it can also be compiled with -DEXO_ENABLE_TSAN=ON
 /// (ctest label: tsan) to turn every latent data race into a hard
 /// failure.
@@ -23,6 +24,7 @@
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
 #include "support/ThreadPool.h"
+#include "tuning/Tuner.h"
 
 #include <gtest/gtest.h>
 
@@ -284,6 +286,28 @@ TEST(ConcurrencyTest, GlobalSolverStatsAggregateAtomically) {
   EXPECT_EQ(S.SimplifyConstFoldHits + S.SimplifyConstFoldMisses,
             NumThreads * (Serial.SimplifyConstFoldHits +
                           Serial.SimplifyConstFoldMisses));
+}
+
+TEST(ConcurrencyTest, TunerBuildsAndRunsModulesConcurrently) {
+  // Each generation is built as up to four JIT modules at once, and the
+  // modules' entries then run on four threads at once, each module in
+  // its own simulator copy. The verdicts must match a one-thread run.
+  using namespace exo::tuning;
+  TuneOptions O;
+  O.Population = 8;
+  O.Generations = 2;
+  O.Beam = 3;
+  O.Seed = 3;
+  O.Threads = 4;
+  TuneResult Par = tune(O);
+  O.Threads = 1;
+  TuneResult Ser = tune(O);
+  ASSERT_TRUE(Par.Ok) << Par.Error;
+  ASSERT_TRUE(Ser.Ok) << Ser.Error;
+  EXPECT_EQ(Par.Stats.Tried, Ser.Stats.Tried);
+  EXPECT_EQ(Par.Stats.Ok, Ser.Stats.Ok);
+  EXPECT_EQ(Par.Best.Eval.Score, Ser.Best.Eval.Score);
+  EXPECT_EQ(Par.Best.Eval.SimCycles, Ser.Best.Eval.SimCycles);
 }
 
 } // namespace

@@ -9,15 +9,19 @@
 /// mutation/crossover operators (every mutant applies cleanly or is
 /// rejected — never a crash, and never an oracle divergence, since
 /// rejected steps are skipped and accepted steps went through the
-/// scheduling layer's safety checks), the cost model's verify gate, and
-/// the search itself — determinism at any thread count, replayability of
-/// the winning trace, and the headline acceptance bar: the search must
-/// rediscover a schedule within 1.5x of the hand-written Gemmini matmul.
+/// scheduling layer's safety checks), the cost model's verify gate and
+/// batch path (the same verdicts however candidates are split into
+/// modules, a fallback when a shared module fails to build, a trap that
+/// stays in its entry), and the search itself — determinism at any
+/// thread count, replayability of the winning trace, and the headline
+/// acceptance bar: the search must rediscover a schedule within 1.5x of
+/// the hand-written Gemmini matmul.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "tuning/Tuner.h"
 
+#include "backend/Backend.h"
 #include "frontend/Parser.h"
 #include "testing/Oracle.h"
 #include "testing/ScheduleGen.h"
@@ -65,6 +69,37 @@ std::string keyOf(const std::vector<ScheduleStep> &T) {
   }
   return K;
 }
+
+/// Seed traces of the gemmini search space plus seed mutants, applied:
+/// a mix of candidates that verify and candidates that die at lower,
+/// execute or verify.
+std::vector<ProcRef> gemminiCandidates(const SearchSpace &Space,
+                                       unsigned Mutants) {
+  std::vector<ProcRef> Out;
+  for (const auto &T : Space.Seeds)
+    Out.push_back(applyTraceLenient(Space.Algorithm, T).Final);
+  Rng R(11);
+  for (unsigned I = 0; I < Mutants; ++I)
+    Out.push_back(applyTraceLenient(
+                      Space.Algorithm,
+                      mutateTrace(Space.Algorithm, R.pick(Space.Seeds), R))
+                      .Final);
+  return Out;
+}
+
+void expectSameVerdict(const EvalResult &A, const EvalResult &B,
+                       const std::string &What) {
+  EXPECT_EQ(A.Ok, B.Ok) << What << ": " << A.Detail << " vs " << B.Detail;
+  EXPECT_EQ(A.FailStage, B.FailStage) << What;
+  EXPECT_EQ(A.SimCycles, B.SimCycles) << What;
+  EXPECT_EQ(A.SimMatmuls, B.SimMatmuls) << What;
+  EXPECT_EQ(A.Score, B.Score) << What;
+}
+
+/// A fault hook that fails the first accelerator instruction it sees,
+/// then stays quiet.
+int FaultsLeft = 0;
+extern "C" int exoTestFaultOnce() { return FaultsLeft-- > 0; }
 
 } // namespace
 
@@ -180,6 +215,126 @@ TEST(TraceRoundTrip, ProcedureStepKinds) {
   LenientApplyResult A = applyTraceLenient(P, T);
   EXPECT_EQ(A.Rejected, 0u);
   EXPECT_EQ(A.Applied.size(), 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// The cost model's batch path
+//===----------------------------------------------------------------------===//
+
+TEST(CostModel, BatchVerdictsMatchOneModulePerCandidate) {
+  auto Space = buildSearchSpace("gemmini_matmul", KernelShape{});
+  ASSERT_TRUE(Space) << Space.error().str();
+  std::vector<ProcRef> Cands = gemminiCandidates(*Space, 20);
+
+  // Reference: every candidate in a module of its own.
+  CostModel Single(Space->Shape, Metric::SimCycles);
+  std::vector<EvalResult> Ref;
+  unsigned Dead = 0;
+  for (const ProcRef &P : Cands) {
+    Ref.push_back(Single.evaluate(P));
+    Dead += !Ref.back().Ok;
+  }
+  EXPECT_GT(Dead, 0u) << "the sample must include dead candidates";
+  EXPECT_LT(Dead, Cands.size()) << "the sample must include live ones";
+
+  // Threads == modules: 0 threads is the one-module, inline case.
+  for (unsigned Threads : {0u, 2u, 4u}) {
+    support::ThreadPool Pool(Threads);
+    CostModel Batch(Space->Shape, Metric::SimCycles);
+    backend::JitBackend::CacheStats J0 = backend::JitBackend::cacheStats();
+    std::vector<EvalResult> Got = Batch.evaluate(Cands, Pool);
+    backend::JitBackend::CacheStats J1 = backend::JitBackend::cacheStats();
+    ASSERT_EQ(Got.size(), Cands.size());
+    EXPECT_LE(J1.Compiles - J0.Compiles, std::max(1u, Threads))
+        << "one module per thread";
+    for (size_t I = 0; I < Cands.size(); ++I)
+      expectSameVerdict(Got[I], Ref[I],
+                        "threads " + std::to_string(Threads) +
+                            ", candidate " + std::to_string(I));
+  }
+}
+
+TEST(CostModel, ModuleThatFailsToBuildFallsBackToOnePerCandidate) {
+  // A candidate whose C links against a symbol nobody defines: alone it
+  // dies at build time, and batched with healthy candidates it must not
+  // take them down with it.
+  auto Space = buildSearchSpace("gemmini_matmul", KernelShape{});
+  ASSERT_TRUE(Space) << Space.error().str();
+  frontend::ParseEnv Env;
+  auto Broken = frontend::parseModule(R"(
+@instr("exo_test_undefined_symbol();")
+def unlinkable():
+    pass
+
+@proc
+def broken(A: R[128, 128], B: R[128, 128], C: R[128, 128]):
+    unlinkable()
+    for i in seq(0, 128):
+        for j in seq(0, 128):
+            for k in seq(0, 128):
+                C[i, j] += A[i, k] * B[k, j]
+)",
+                                      Env);
+  ASSERT_TRUE(Broken) << Broken.error().str();
+  std::vector<ProcRef> Cands = {Space->Handwritten, Env.findProc("broken"),
+                                Space->Algorithm};
+
+  CostModel Single(Space->Shape, Metric::SimCycles);
+  CostModel Batch(Space->Shape, Metric::SimCycles);
+  support::ThreadPool Inline(0); // one shared module for all three
+  std::vector<EvalResult> Got = Batch.evaluate(Cands, Inline);
+  for (size_t I = 0; I < Cands.size(); ++I)
+    expectSameVerdict(Got[I], Single.evaluate(Cands[I]),
+                      "candidate " + std::to_string(I));
+  EXPECT_TRUE(Got[0].Ok) << Got[0].FailStage << ": " << Got[0].Detail;
+  EXPECT_EQ(Got[1].FailStage, "execute") << Got[1].Detail;
+  EXPECT_TRUE(Got[2].Ok) << Got[2].FailStage << ": " << Got[2].Detail;
+}
+
+TEST(CostModel, TrapInOneEntryLeavesTheNextEntryAlone) {
+  auto Space = buildSearchSpace("gemmini_matmul", KernelShape{});
+  ASSERT_TRUE(Space) << Space.error().str();
+  // Two different schedules that both drive the simulator.
+  ProcRef First = Space->Handwritten, Second;
+  CostModel Probe(Space->Shape, Metric::SimCycles);
+  uint64_t FirstCycles = Probe.evaluate(First).SimCycles;
+  for (const auto &T : Space->Seeds) {
+    ProcRef P = applyTraceLenient(Space->Algorithm, T).Final;
+    EvalResult E = Probe.evaluate(P);
+    if (E.Ok && E.SimMatmuls > 0 && E.SimCycles != FirstCycles) {
+      Second = P;
+      break;
+    }
+  }
+  ASSERT_TRUE(Second) << "no second seed schedule verifies on the sim";
+
+  CostModel CM(Space->Shape, Metric::SimCycles);
+  support::ThreadPool Inline(0); // one module holds both candidates
+  std::vector<EvalResult> Clean = CM.evaluate({First, Second}, Inline);
+  ASSERT_TRUE(Clean[0].Ok) << Clean[0].FailStage << ": " << Clean[0].Detail;
+  ASSERT_TRUE(Clean[1].Ok) << Clean[1].FailStage << ": " << Clean[1].Detail;
+  ASSERT_GT(Clean[1].SimMatmuls, 0u) << "the second entry must use the sim";
+
+  CostModel::Placement P1 = CM.placement(First);
+  CostModel::Placement P2 = CM.placement(Second);
+  ASSERT_TRUE(P1.Module);
+  ASSERT_EQ(P1.Module, P2.Module) << "both entries must share a module";
+  using FaultFn = int (*)();
+  auto SetFault = reinterpret_cast<void (*)(FaultFn)>(
+      backend::jitBackend().moduleSymbol(*P1.Module, "gemmini_set_fault_fn"));
+  ASSERT_NE(SetFault, nullptr);
+
+  // The rerun executes the entries in batch order in the same module:
+  // the first one traps, the second must score exactly as before.
+  FaultsLeft = 1;
+  SetFault(exoTestFaultOnce);
+  std::vector<EvalResult> Faulty = CM.evaluate({First, Second}, Inline);
+  SetFault(nullptr);
+  EXPECT_FALSE(Faulty[0].Ok);
+  EXPECT_EQ(Faulty[0].FailStage, "execute");
+  EXPECT_NE(Faulty[0].Detail.find("sim trap"), std::string::npos)
+      << Faulty[0].Detail;
+  expectSameVerdict(Faulty[1], Clean[1], "entry after the trap");
 }
 
 //===----------------------------------------------------------------------===//
