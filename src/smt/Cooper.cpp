@@ -249,6 +249,25 @@ QFormRef exo::smt::eliminateExists(unsigned VarId, const QFormRef &F,
                                    Budget &B) {
   if (!F->mentions(VarId) || F->isTrue() || F->isFalse())
     return F;
+  // Miniscoping: exists distributes over Or, and conjuncts that do not
+  // mention the variable leave its scope, so Cooper only ever copies the
+  // part of the formula the variable occurs in.
+  if (F->kind() == QForm::Kind::Or) {
+    std::vector<QFormRef> Out;
+    Out.reserve(F->children().size());
+    for (auto &C : F->children())
+      Out.push_back(eliminateExists(VarId, C, B));
+    return qOr(std::move(Out), B);
+  }
+  if (F->kind() == QForm::Kind::And) {
+    std::vector<QFormRef> Outside, Inside;
+    for (auto &C : F->children())
+      (C->mentions(VarId) ? Inside : Outside).push_back(C);
+    if (!Outside.empty()) {
+      Outside.push_back(eliminateExists(VarId, qAnd(std::move(Inside), B), B));
+      return qAnd(std::move(Outside), B);
+    }
+  }
 
   QFormRef Phi = splitEqualities(F, VarId, B);
 
@@ -306,34 +325,25 @@ QFormRef exo::smt::eliminateExists(unsigned VarId, const QFormRef &F,
   return qOr(std::move(Cases), B);
 }
 
-Decision exo::smt::decideClosed(const PrenexResult &P, Budget &B) {
-  QFormRef Body = P.Body;
+QFormRef exo::smt::eliminateBlock(std::vector<unsigned> Vars, QFormRef F,
+                                  Budget &B) {
   bool CheapFirst = simplifyConfig().CheapVarOrder;
-  // Innermost-first elimination over the prefix. With the cheap-var
-  // ordering stage enabled, adjacent same-quantifier entries commute
-  // (exists x. exists y. F == exists y. exists x. F), so within each
-  // innermost same-quantifier block we may pick the variable with the
-  // smallest coefficient LCM — the one whose elimination multiplies the
-  // formula the least — and we stop as soon as the matrix is ground
-  // (the remaining quantifiers are then vacuous).
-  std::vector<QuantEntry> Prefix(P.Prefix.begin(), P.Prefix.end());
-  while (!Prefix.empty()) {
-    if (B.exceeded())
-      return Decision::Unknown;
-    if (CheapFirst && (Body->isTrue() || Body->isFalse())) {
+  // Adjacent existentials commute (exists x. exists y. F == exists y.
+  // exists x. F), so with the cheap-var ordering stage enabled we pick the
+  // variable with the smallest coefficient LCM, the one whose elimination
+  // multiplies the formula the least, and we stop as soon as the formula
+  // is ground (the remaining quantifiers are then vacuous). Without it the
+  // block is eliminated innermost-first.
+  while (!Vars.empty() && !B.exceeded()) {
+    if (CheapFirst && (F->isTrue() || F->isFalse())) {
       B.noteEarlyExit();
       break;
     }
-    size_t End = Prefix.size();
-    size_t Pick = End - 1;
-    if (CheapFirst && End >= 2 &&
-        Prefix[End - 2].Quant == Prefix[End - 1].Quant) {
-      size_t Begin = End - 1;
-      while (Begin > 0 && Prefix[Begin - 1].Quant == Prefix[End - 1].Quant)
-        --Begin;
+    size_t Pick = Vars.size() - 1;
+    if (CheapFirst && Vars.size() >= 2) {
       uint64_t Best = UINT64_MAX;
-      for (size_t I = End; I-- > Begin;) {
-        int64_t Lcm = coefficientLcm(Body, Prefix[I].VarId);
+      for (size_t I = Vars.size(); I-- > 0;) {
+        int64_t Lcm = coefficientLcm(F, Vars[I]);
         // An LCM of 0 signals overflow past MaxPeriod: treat as the most
         // expensive choice so it is eliminated last.
         uint64_t Cost = Lcm == 0 ? UINT64_MAX : (uint64_t)Lcm;
@@ -342,23 +352,12 @@ Decision exo::smt::decideClosed(const PrenexResult &P, Budget &B) {
           Pick = I;
         }
       }
-      if (Pick != End - 1)
+      if (Pick != Vars.size() - 1)
         B.noteReorder();
     }
-    QuantEntry E = Prefix[Pick];
-    Prefix.erase(Prefix.begin() + Pick);
-    if (E.Quant == QuantEntry::Q::Exists) {
-      Body = eliminateExists(E.VarId, Body, B);
-    } else {
-      Body = qNot(eliminateExists(E.VarId, qNot(Body, B), B), B);
-    }
+    unsigned Var = Vars[Pick];
+    Vars.erase(Vars.begin() + Pick);
+    F = eliminateExists(Var, F, B);
   }
-  if (B.exceeded())
-    return Decision::Unknown;
-  if (Body->isTrue())
-    return Decision::True;
-  if (Body->isFalse())
-    return Decision::False;
-  // Non-ground residue: the sentence was not closed.
-  return Decision::Unknown;
+  return F;
 }

@@ -6,6 +6,8 @@
 
 #include "smt/Prenex.h"
 
+#include "smt/Cooper.h"
+
 #include <unordered_map>
 
 using namespace exo;
@@ -14,13 +16,17 @@ using namespace exo::smt;
 namespace {
 
 /// The conversion state threaded through the recursive walk.
-class PrenexConverter {
+class ScopedEliminator {
 public:
-  explicit PrenexConverter(Budget &B) : B(B) {}
+  explicit ScopedEliminator(Budget &B) : B(B) {}
 
   QFormRef convert(const TermRef &T, bool Positive);
 
-  std::vector<QuantEntry> takePrefix() { return std::move(Prefix); }
+  /// Converts \p Body (the matrix of a quantifier chain over \p Vars,
+  /// outermost first) and eliminates the chain and the div/mod quotients
+  /// its atoms introduce.
+  QFormRef eliminateChain(bool IsForall, std::vector<unsigned> Vars,
+                          const TermRef &Body, bool Positive);
 
 private:
   QFormRef convertAtom(const TermRef &Atom, bool Positive);
@@ -28,13 +34,15 @@ private:
   unsigned renamed(unsigned Id) const;
 
   Budget &B;
-  std::vector<QuantEntry> Prefix;
+  /// The quotients awaiting elimination, one list per enclosing chain
+  /// (innermost last).
+  std::vector<std::vector<unsigned>> Quotients;
   std::unordered_map<unsigned, unsigned> Renaming;
 };
 
 } // namespace
 
-unsigned PrenexConverter::renamed(unsigned Id) const {
+unsigned ScopedEliminator::renamed(unsigned Id) const {
   auto It = Renaming.find(Id);
   return It == Renaming.end() ? Id : It->second;
 }
@@ -88,8 +96,8 @@ static TermRef replaceTerm(const TermRef &T, const TermRef &Target,
   }
 }
 
-LinearForm PrenexConverter::lowerIntTerm(const TermRef &T,
-                                         std::vector<QFormRef> &Defs) {
+LinearForm ScopedEliminator::lowerIntTerm(const TermRef &T,
+                                          std::vector<QFormRef> &Defs) {
   switch (T->kind()) {
   case TermKind::IntConst:
     return LinearForm(T->intValue());
@@ -106,12 +114,13 @@ LinearForm PrenexConverter::lowerIntTerm(const TermRef &T,
   case TermKind::Div:
   case TermKind::Mod: {
     // q := t div c, with defining constraint 0 <= t - c*q <= c - 1.
-    // The quotient is functionally determined, so introducing an innermost
-    // existential is an equivalence under any polarity.
+    // The quotient is functionally determined, so an existential for it
+    // anywhere between the atom and the innermost binder of t's variables
+    // is an equivalence under any polarity (the NNF context is monotone).
     LinearForm Inner = lowerIntTerm(T->operand(0), Defs);
     int64_t C = T->scalar();
     TermVar Q = freshVar("q", Sort::Int);
-    Prefix.push_back({QuantEntry::Q::Exists, Q.Id});
+    Quotients.back().push_back(Q.Id);
     LinearForm QForm1 = LinearForm::variable(Q.Id, C) - Inner; // c*q - t <= 0
     LinearForm QForm2 = Inner - LinearForm::variable(Q.Id, C); // t - c*q
     QForm2.setConstant(QForm2.constant() - (C - 1));           // ... - (c-1) <= 0
@@ -127,7 +136,7 @@ LinearForm PrenexConverter::lowerIntTerm(const TermRef &T,
   }
 }
 
-QFormRef PrenexConverter::convertAtom(const TermRef &Atom, bool Positive) {
+QFormRef ScopedEliminator::convertAtom(const TermRef &Atom, bool Positive) {
   // Split out integer-sorted if-then-else first.
   if (TermRef IteNode = findIntIte(Atom)) {
     TermRef WithThen = replaceTerm(Atom, IteNode, IteNode->operand(1));
@@ -171,7 +180,7 @@ QFormRef PrenexConverter::convertAtom(const TermRef &Atom, bool Positive) {
   return qAnd(std::move(Defs), B);
 }
 
-QFormRef PrenexConverter::convert(const TermRef &T, bool Positive) {
+QFormRef ScopedEliminator::convert(const TermRef &T, bool Positive) {
   if (B.exceeded())
     return qFalse();
   switch (T->kind()) {
@@ -214,33 +223,61 @@ QFormRef PrenexConverter::convert(const TermRef &T, bool Positive) {
   }
   case TermKind::Forall:
   case TermKind::Exists: {
+    // Collect the maximal chain of same-kind quantifiers, seen through
+    // negations, renaming each bound variable freshly.
     bool IsForall = (T->kind() == TermKind::Forall) == Positive;
-    TermVar Fresh = freshVar(T->var().Name, Sort::Int);
-    Prefix.push_back(
-        {IsForall ? QuantEntry::Q::Forall : QuantEntry::Q::Exists, Fresh.Id});
-    unsigned OldId = T->var().Id;
-    auto Saved = Renaming.find(OldId) != Renaming.end()
-                     ? std::optional<unsigned>(Renaming[OldId])
-                     : std::nullopt;
-    Renaming[OldId] = Fresh.Id;
-    QFormRef Body = convert(T->operand(0), Positive);
-    if (Saved)
-      Renaming[OldId] = *Saved;
-    else
-      Renaming.erase(OldId);
-    return Body;
+    std::vector<unsigned> Vars;
+    auto Saved = Renaming;
+    TermRef Body = T;
+    for (;;) {
+      if (Body->kind() == TermKind::Not) {
+        Body = Body->operand(0);
+        Positive = !Positive;
+        continue;
+      }
+      if ((Body->kind() != TermKind::Forall &&
+           Body->kind() != TermKind::Exists) ||
+          ((Body->kind() == TermKind::Forall) == Positive) != IsForall)
+        break;
+      TermVar Fresh = freshVar(Body->var().Name, Sort::Int);
+      Renaming[Body->var().Id] = Fresh.Id;
+      Vars.push_back(Fresh.Id);
+      Body = Body->operand(0);
+    }
+    QFormRef Out = eliminateChain(IsForall, std::move(Vars), Body, Positive);
+    Renaming = std::move(Saved);
+    return Out;
   }
   case TermKind::Eq:
   case TermKind::Le:
   case TermKind::Lt:
     return convertAtom(T, Positive);
   default:
-    fatalError("prenex: unexpected term in formula position: " + T->str());
+    fatalError("eliminateQuantifiers: unexpected term in formula position: " +
+               T->str());
   }
 }
 
-PrenexResult exo::smt::prenex(const TermRef &F, Budget &B) {
-  PrenexConverter Converter(B);
-  QFormRef Body = Converter.convert(F, /*Positive=*/true);
-  return PrenexResult{Converter.takePrefix(), std::move(Body)};
+QFormRef ScopedEliminator::eliminateChain(bool IsForall,
+                                          std::vector<unsigned> Vars,
+                                          const TermRef &Body, bool Positive) {
+  Quotients.emplace_back();
+  QFormRef F = convert(Body, Positive);
+  std::vector<unsigned> Qs = std::move(Quotients.back());
+  Quotients.pop_back();
+  if (B.exceeded())
+    return qFalse();
+  if (!IsForall) {
+    Vars.insert(Vars.end(), Qs.begin(), Qs.end());
+    return eliminateBlock(std::move(Vars), F, B);
+  }
+  // forall xs. exists qs. F == not exists xs. not (exists qs. F).
+  F = eliminateBlock(std::move(Qs), F, B);
+  return qNot(eliminateBlock(Vars, qNot(F, B), B), B);
+}
+
+QFormRef exo::smt::eliminateQuantifiers(const TermRef &F, Budget &B) {
+  // The root scope catches quotients of atoms outside every quantifier.
+  return ScopedEliminator(B).eliminateChain(/*IsForall=*/false, {}, F,
+                                            /*Positive=*/true);
 }

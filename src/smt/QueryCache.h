@@ -1,8 +1,9 @@
 //===- smt/QueryCache.h - Benchmark-only stub ------------------*- C++ -*-===//
 //
 // The solver keeps no verdict memo: Solver::decide always preprocesses and
-// then runs prenex/Cooper. These zero counters only keep the benchmark's
-// smt.query_cache_* metrics building; the stub goes when it drops them.
+// then runs scoped Cooper elimination. These zero counters only keep the
+// benchmark's smt.query_cache_* metrics building; the stub goes when it
+// drops them.
 //
 //===----------------------------------------------------------------------===//
 #ifndef EXO_SMT_QUERYCACHE_H

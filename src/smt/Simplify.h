@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The staged query preprocessing pipeline that runs before prenex/Cooper
+/// The staged query preprocessing pipeline that runs before Cooper
 /// (DESIGN.md, "Solver preprocessing"). Every stage is an equivalence-
 /// preserving rewrite over hash-consed terms, so simplification may turn
 /// an Unknown verdict into Yes/No (by making the query cheap enough to
@@ -28,9 +28,9 @@
 ///      value interval is conclusive are decided and dead branches
 ///      pruned.
 ///   4. Cheap-variable-first elimination ordering in Cooper (smallest
-///      coefficient LCM first within a same-quantifier block) with early
-///      exit once the matrix is ground. Lives in Cooper.cpp; only the
-///      toggle is here.
+///      coefficient LCM first within a same-quantifier chain) with early
+///      exit once the chain's body is ground. Lives in Cooper.cpp
+///      (eliminateBlock); only the toggle is here.
 ///
 /// The effect-analysis disjointness fast path (analysis/Checks.cpp) shares
 /// this config (EffectFastPath) and this file's interval arithmetic.
@@ -73,7 +73,7 @@ struct SimplifyOutcome {
   bool EqSubstHit = false;
   bool IntervalHit = false;
 
-  /// The pipeline reduced the query to a constant: no prenex, no Cooper,
+  /// The pipeline reduced the query to a constant: no Cooper elimination,
   /// no literal budget consumed.
   bool decided() const {
     return Simplified && Simplified->kind() == TermKind::BoolConst;

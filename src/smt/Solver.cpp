@@ -6,7 +6,6 @@
 
 #include "smt/Solver.h"
 
-#include "smt/Cooper.h"
 #include "smt/Prenex.h"
 #include "smt/Simplify.h"
 
@@ -164,7 +163,7 @@ static TermRef closeFreeVars(TermRef F, bool Universally) {
   for (auto It = Free.rbegin(); It != Free.rend(); ++It) {
     TermVar V = *It;
     if (V.VarSort == Sort::Bool) {
-      // Reinterpret the variable as an integer (the prenexer maps bool
+      // Reinterpret the variable as an integer (the eliminator maps bool
       // vars onto int vars with the same Id) and bound it to {0, 1}.
       TermVar IntV{V.Id, V.Name, Sort::Int};
       TermRef X = mkVar(IntV);
@@ -243,18 +242,18 @@ SolverResult Solver::decide(TermRef Closed) {
   }
 
   Budget B(Opts.MaxLiterals);
-  PrenexResult P = prenex(SO.Simplified, B);
-  Decision D = B.exceeded() ? Decision::Unknown : decideClosed(P, B);
+  QFormRef Ground = eliminateQuantifiers(SO.Simplified, B);
   if (B.spent())
     Bump(&Stats::NumLiterals, G.NumLiterals, B.spent());
   if (B.reorders())
     Bump(&Stats::CooperReorders, G.CooperReorders, B.reorders());
   if (B.earlyExits())
     Bump(&Stats::CooperEarlyExits, G.CooperEarlyExits, B.earlyExits());
-  if (D == Decision::True)
+  if (!B.exceeded() && Ground->isTrue())
     return SolverResult::Yes;
-  if (D == Decision::False)
+  if (!B.exceeded() && Ground->isFalse())
     return SolverResult::No;
+  // Out of budget, or a non-ground residue (the query was not closed).
   Bump(&Stats::NumUnknown, G.NumUnknown);
   if (B.timedOut()) {
     Bump(&Stats::NumUnknownTimeout, G.NumUnknownTimeout);

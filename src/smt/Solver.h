@@ -79,7 +79,8 @@ public:
   /// Preprocessing counters (DESIGN.md, "Solver preprocessing"): each
   /// enabled pipeline stage counts a hit when it changed the query and a
   /// miss when it left it alone; SimplifyDecided counts queries reduced
-  /// to a constant before prenex (no literal budget consumed at all).
+  /// to a constant before quantifier elimination (no literal budget
+  /// consumed at all).
   /// NumLiterals is the total Cooper literal consumption — the currency
   /// of the bench tripwire. FastPathHits/Misses track the effect-analysis
   /// disjointness pre-check, which answers without building a query

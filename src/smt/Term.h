@@ -152,8 +152,8 @@ public:
     return std::binary_search(FreeIds.begin(), FreeIds.end(), Id);
   }
 
-  /// Whether any subterm is an int-sorted if-then-else; lets the prenex
-  /// converter skip its lowering scan entirely.
+  /// Whether any subterm is an int-sorted if-then-else; lets the scoped
+  /// eliminator skip its lowering scan entirely.
   bool hasIntIte() const { return IntIte; }
 
   /// Renders an SMT-LIB-flavoured s-expression, for debugging and tests.

@@ -120,6 +120,11 @@ void printReport(const FuzzReport &R) {
               S.StepsAccepted, S.StepsProposed,
               S.StepsProposed ? 100.0 * S.StepsAccepted / S.StepsProposed
                               : 0.0);
+  std::printf("      solver: %llu queries, %llu Cooper literals, %llu "
+              "budget-Unknowns\n",
+              (unsigned long long)S.SolverQueries,
+              (unsigned long long)S.CooperLiterals,
+              (unsigned long long)S.SolverBudgetUnknowns);
   if (S.DifferentialSteps) {
     std::printf("      differential: %u steps, %u mismatches; snapshot "
                 "%llu hits / %llu misses (%.0f%% hit rate)\n",

@@ -8,6 +8,7 @@
 
 #include "backend/Backend.h"
 #include "frontend/Parser.h"
+#include "smt/Solver.h"
 
 #include <chrono>
 #include <filesystem>
@@ -181,6 +182,7 @@ exo::testing::writeReproducer(const std::string &Dir,
 
 Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
   auto Start = std::chrono::steady_clock::now();
+  smt::Solver::Stats Solver0 = smt::solverGlobalStats();
   FuzzReport Report;
   FuzzStats &S = Report.Stats;
 
@@ -347,6 +349,11 @@ Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
   S.JitCompiles = JS.Compiles;
   S.JitCacheHits = JS.Hits;
   S.JitEvictions = JS.Evictions;
+  smt::Solver::Stats Solver1 = smt::solverGlobalStats();
+  S.SolverQueries = Solver1.NumQueries - Solver0.NumQueries;
+  S.CooperLiterals = Solver1.NumLiterals - Solver0.NumLiterals;
+  S.SolverBudgetUnknowns =
+      Solver1.NumUnknownBudget - Solver0.NumUnknownBudget;
 
   S.WallMillis = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - Start)
@@ -400,6 +407,9 @@ std::string exo::testing::statsJson(const FuzzReport &R,
   OS << "  \"jit_cache\": {\"compiles\": " << S.JitCompiles
      << ", \"hits\": " << S.JitCacheHits
      << ", \"evictions\": " << S.JitEvictions << "},\n";
+  OS << "  \"solver_queries\": " << S.SolverQueries << ",\n";
+  OS << "  \"cooper_literals\": " << S.CooperLiterals << ",\n";
+  OS << "  \"solver_budget_unknowns\": " << S.SolverBudgetUnknowns << ",\n";
   // Per-backend lower+execute throughput: cases/sec over the phase whose
   // cost the backend controls (the shared interpreter phase is excluded).
   auto Cps = [](unsigned Cases, double Ms) {

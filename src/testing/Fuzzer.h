@@ -99,6 +99,8 @@ struct FuzzStats {
   unsigned BackendMismatches = 0;
   /// JIT module-cache counters over the whole run.
   uint64_t JitCompiles = 0, JitCacheHits = 0, JitEvictions = 0;
+  /// Solver work over the whole run: deltas of smt::solverGlobalStats().
+  uint64_t SolverQueries = 0, CooperLiterals = 0, SolverBudgetUnknowns = 0;
 };
 
 struct FuzzReport {

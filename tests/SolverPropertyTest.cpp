@@ -17,7 +17,7 @@
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
 
-#include "support/MathExtras.h"
+#include "BruteForce.h"
 
 #include <gtest/gtest.h>
 
@@ -88,60 +88,11 @@ private:
   const std::vector<TermVar> &Vars;
 };
 
-/// Brute-force evaluation of a term under an assignment.
-int64_t evalTerm(const TermRef &T,
-                 const std::map<unsigned, int64_t> &Env) {
-  switch (T->kind()) {
-  case TermKind::IntConst:
-    return T->intValue();
-  case TermKind::Var:
-    return Env.at(T->var().Id);
-  case TermKind::Add: {
-    int64_t S = 0;
-    for (auto &Op : T->operands())
-      S += evalTerm(Op, Env);
-    return S;
-  }
-  case TermKind::Mul:
-    return T->scalar() * evalTerm(T->operand(0), Env);
-  case TermKind::Div:
-    return floorDiv(evalTerm(T->operand(0), Env), T->scalar());
-  case TermKind::Mod:
-    return floorMod(evalTerm(T->operand(0), Env), T->scalar());
-  default:
-    fatalError("evalTerm: unexpected kind");
-  }
-}
-
-bool evalFormula(const TermRef &F,
-                 const std::map<unsigned, int64_t> &Env) {
-  switch (F->kind()) {
-  case TermKind::BoolConst:
-    return F->boolValue();
-  case TermKind::Eq:
-    return evalTerm(F->operand(0), Env) == evalTerm(F->operand(1), Env);
-  case TermKind::Le:
-    return evalTerm(F->operand(0), Env) <= evalTerm(F->operand(1), Env);
-  case TermKind::Lt:
-    return evalTerm(F->operand(0), Env) < evalTerm(F->operand(1), Env);
-  case TermKind::Not:
-    return !evalFormula(F->operand(0), Env);
-  case TermKind::And:
-    for (auto &Op : F->operands())
-      if (!evalFormula(Op, Env))
-        return false;
-    return true;
-  case TermKind::Or:
-    for (auto &Op : F->operands())
-      if (evalFormula(Op, Env))
-        return true;
-    return false;
-  case TermKind::Implies:
-    return !evalFormula(F->operand(0), Env) ||
-           evalFormula(F->operand(1), Env);
-  default:
-    fatalError("evalFormula: unexpected kind");
-  }
+/// Brute-force evaluation of a quantifier-free formula under an
+/// assignment of its free variables.
+bool evalFormula(const TermRef &F, const std::map<unsigned, int64_t> &Env) {
+  bruteforce::Evaluator E{Lo, Hi, Env};
+  return E.formula(F);
 }
 
 class RandomFormulaTest : public ::testing::TestWithParam<unsigned> {};
@@ -222,6 +173,143 @@ TEST_P(QuantifiedRandomTest, AlternatingQuantifiersAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantifiedRandomTest,
                          ::testing::Range(1u, 21u));
+
+/// Random formulas with quantifier chains nested under And / Or / Not:
+/// the shape scoped elimination works on. Each chain binds 2-3 variables
+/// of one kind, each guarded to [0, ChainHi]; atoms mix every variable in
+/// scope with div/mod by 2-4.
+class NestedFormulaGen {
+public:
+  static constexpr int64_t ChainHi = 2;
+
+  explicit NestedFormulaGen(unsigned Seed) : Rng(Seed) {}
+
+  /// A connective over at least one quantifier chain.
+  TermRef root(const std::vector<TermVar> &Scope) {
+    TermRef A = chain(2, Scope), B = formula(2, Scope);
+    TermRef F = Rng() % 2 ? mkAnd(A, B) : mkOr(A, B);
+    return Rng() % 3 ? F : mkNot(F);
+  }
+
+private:
+  TermRef formula(int Depth, const std::vector<TermVar> &Scope) {
+    if (Depth == 0)
+      return atom(Scope);
+    switch (Rng() % 5) {
+    case 0:
+      return mkAnd(formula(Depth - 1, Scope), formula(Depth - 1, Scope));
+    case 1:
+      return mkOr(formula(Depth - 1, Scope), formula(Depth - 1, Scope));
+    case 2:
+      return mkNot(formula(Depth - 1, Scope));
+    case 3:
+      return chain(Depth, Scope);
+    default:
+      return atom(Scope);
+    }
+  }
+
+  TermRef chain(int Depth, std::vector<TermVar> Scope) {
+    bool IsForall = Rng() % 2;
+    std::vector<TermVar> Vars;
+    std::vector<TermRef> Guards;
+    for (unsigned I = 0, N = 2 + Rng() % 2; I < N; ++I) {
+      Vars.push_back(freshVar("b", Sort::Int));
+      Scope.push_back(Vars.back());
+      Guards.push_back(le(intConst(0), mkVar(Vars.back())));
+      Guards.push_back(le(mkVar(Vars.back()), intConst(ChainHi)));
+    }
+    TermRef Body = formula(Depth - 1, Scope);
+    Body = IsForall ? implies(mkAnd(Guards), Body) : mkAnd(mkAnd(Guards), Body);
+    for (auto It = Vars.rbegin(); It != Vars.rend(); ++It)
+      Body = IsForall ? forall(*It, Body) : exists(*It, Body);
+    return Body;
+  }
+
+  TermRef term(int Depth, const std::vector<TermVar> &Scope) {
+    switch (Rng() % (Depth > 0 ? 5 : 2)) {
+    case 0:
+      return intConst(static_cast<int64_t>(Rng() % 5) - 2);
+    case 1:
+      return mkVar(Scope[Rng() % Scope.size()]);
+    case 2:
+      return add(term(Depth - 1, Scope), term(Depth - 1, Scope));
+    case 3:
+      return mul(static_cast<int64_t>(Rng() % 2) + 1, term(Depth - 1, Scope));
+    default: {
+      int64_t D = static_cast<int64_t>(Rng() % 3) + 2;
+      return Rng() % 2 ? div(term(Depth - 1, Scope), D)
+                       : mod(term(Depth - 1, Scope), D);
+    }
+    }
+  }
+
+  TermRef atom(const std::vector<TermVar> &Scope) {
+    TermRef A = term(2, Scope), B = term(1, Scope);
+    switch (Rng() % 3) {
+    case 0:
+      return eq(A, B);
+    case 1:
+      return le(A, B);
+    default:
+      return lt(A, B);
+    }
+  }
+
+  std::mt19937 Rng;
+};
+
+/// One nested-quantifier query pair (valid and sat over the free x, y in
+/// [Lo, Hi]) with its brute-force answers.
+struct NestedCase {
+  TermRef Body, ValidQ, SatQ;
+  bool AllTrue = true, AnyTrue = false;
+
+  explicit NestedCase(unsigned Seed) {
+    std::vector<TermVar> Vars = {freshVar("x", Sort::Int),
+                                 freshVar("y", Sort::Int)};
+    Body = NestedFormulaGen(Seed * 65537).root(Vars);
+    std::vector<TermRef> BoundParts;
+    for (const TermVar &V : Vars) {
+      BoundParts.push_back(le(intConst(Lo), mkVar(V)));
+      BoundParts.push_back(le(mkVar(V), intConst(Hi)));
+    }
+    TermRef Bounds = mkAnd(BoundParts);
+    ValidQ = implies(Bounds, Body);
+    SatQ = mkAnd(Bounds, Body);
+    // Every bound variable is guarded to [0, ChainHi], so enumerating
+    // exactly that window decides each quantifier.
+    bruteforce::Evaluator E{0, NestedFormulaGen::ChainHi, {}};
+    for (int64_t X = Lo; X <= Hi; ++X)
+      for (int64_t Y = Lo; Y <= Hi; ++Y) {
+        E.Env[Vars[0].Id] = X;
+        E.Env[Vars[1].Id] = Y;
+        bool V = E.formula(Body);
+        AllTrue &= V;
+        AnyTrue |= V;
+      }
+  }
+};
+
+class NestedQuantifierTest : public ::testing::TestWithParam<unsigned> {};
+
+/// Every verdict on a nested-quantifier formula equals brute-force
+/// enumeration. Unknown would be safe, but every seed here decides within
+/// the default budget, so an Unknown is a regression of the eliminator.
+TEST_P(NestedQuantifierTest, VerdictsAgreeWithBruteForce) {
+  NestedCase C(GetParam());
+  Solver S;
+  SolverResult Valid = S.checkValid(C.ValidQ);
+  SolverResult Sat = S.checkSat(C.SatQ);
+  ASSERT_NE(Valid, SolverResult::Unknown) << C.Body->str();
+  ASSERT_NE(Sat, SolverResult::Unknown) << C.Body->str();
+  EXPECT_EQ(Valid == SolverResult::Yes, C.AllTrue) << C.Body->str();
+  EXPECT_EQ(Sat == SolverResult::Yes, C.AnyTrue) << C.Body->str();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NestedQuantifierTest,
+                         ::testing::Range(1u, 49u));
+
 
 class CacheDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 
