@@ -10,6 +10,8 @@
 #include "analysis/EffectSnapshot.h"
 #include "ir/Subst.h"
 
+#include <algorithm>
+
 using namespace exo;
 using namespace exo::analysis;
 using namespace exo::ir;
@@ -177,6 +179,12 @@ void exo::analysis::flowStmt(AnalysisCtx &Ctx, FlowState &State,
     return;
   }
   case StmtKind::Call: {
+    // A callee body of state-invariant statements (a data instruction:
+    // no config write, window or nested call) flows as the identity, so
+    // skip the substitution and binder refresh that inlining it costs.
+    const Block &Callee = S->proc()->body();
+    if (std::all_of(Callee.begin(), Callee.end(), isStateInvariant))
+      return;
     Block Body = substitutedCalleeBody(S);
     flowBlock(Ctx, State, Body);
     return;

@@ -52,8 +52,9 @@ resolveLocation(const FlowState &State, ir::Sym Name,
                 std::vector<EffInt> Coords);
 
 /// Advances the state across one statement / a whole block (ValG).
-/// Loop bodies use the paper's stabilization heuristic; calls are
-/// processed by substituting arguments into the callee body.
+/// Loop bodies use the paper's stabilization heuristic; a call is
+/// processed by substituting arguments into the callee body, unless every
+/// statement of that body is state-invariant, when it is the identity.
 void flowStmt(AnalysisCtx &Ctx, FlowState &State, const ir::StmtRef &S);
 void flowBlock(AnalysisCtx &Ctx, FlowState &State, const ir::Block &B);
 

@@ -69,7 +69,8 @@ struct EffectCacheStats {
 
 /// True iff extracting \p S can neither read nor write dataflow state: no
 /// WriteConfig, WindowStmt, or Call occurs in its subtree. Memoized per
-/// statement node; also used by flowStmt as an identity fast path.
+/// statement node; also used by flowStmt as an identity fast path, on a
+/// statement and on each statement of a callee's body.
 bool isStateInvariant(const ir::StmtRef &S);
 
 /// The pinned loop-iteration solver variable for a For statement. Stable

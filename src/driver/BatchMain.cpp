@@ -158,6 +158,7 @@ void writeJson(const std::string &Path, const BatchResult &R) {
         << ", \"solver_queries\": " << J.SolverQueries
         << ", \"simplify_decided\": " << J.SimplifyDecided
         << ", \"fastpath_hits\": " << J.FastPathHits
+        << ", \"cooper_literals\": " << J.CooperLiterals
         << ", \"incremental_hits\": " << J.IncrementalHits
         << ", \"incremental_misses\": " << J.IncrementalMisses;
     // Degraded jobs carry the schedule's failure alongside the reference

@@ -154,6 +154,7 @@ JobResult CompileSession::run(const CompileJob &Job) const {
     R.SolverQueries = After.NumQueries - Before.NumQueries;
     R.SimplifyDecided = After.SimplifyDecided - Before.SimplifyDecided;
     R.FastPathHits = After.FastPathHits - Before.FastPathHits;
+    R.CooperLiterals = After.NumLiterals - Before.NumLiterals;
     analysis::EffectSnapshotStats SS = Snapshot.stats();
     R.IncrementalHits = SS.Hits;
     R.IncrementalMisses = SS.Misses;

@@ -121,11 +121,13 @@ struct JobResult {
 
   /// Per-job solver activity (exact deltas of the worker thread's
   /// counters — a job runs entirely on one thread): total queries, how
-  /// many the preprocessing pipeline decided before Cooper, and how many
-  /// disjointness checks the effect fast path answered without a query.
+  /// many the preprocessing pipeline decided before Cooper, how many
+  /// disjointness checks the effect fast path answered without a query,
+  /// and the Cooper literals the rest consumed.
   uint64_t SolverQueries = 0;
   uint64_t SimplifyDecided = 0;
   uint64_t FastPathHits = 0;
+  uint64_t CooperLiterals = 0;
 
   /// Incremental re-analysis activity of the job's EffectSnapshot:
   /// subtree summaries served from the snapshot vs (re)derived.

@@ -342,6 +342,125 @@ def g(m: size, x: R[100]):
   EXPECT_FALSE(U.commutes());
 }
 
+/// A data instruction, a config writer, a proc wrapping the config writer
+/// and a proc that binds a window: one callee of each kind flowStmt treats
+/// differently.
+const char *CallFlowLib = R"(
+@config
+class CfgFl:
+    st : stride
+
+@instr("hw_ld({n}, {dst}.data, {src}.data);")
+def hw_ld(n: size, dst: [R][n], src: [R][n]):
+    for i in seq(0, n):
+        dst[i] = src[i]
+
+@instr("hw_cfg({s});")
+def hw_cfg(s: stride):
+    CfgFl.st = s
+
+@proc
+def cfg_wrapper(s: stride):
+    hw_cfg(s)
+
+@proc
+def zero_head(v: [R][16]):
+    w = v[0:8]
+    for i in seq(0, 8):
+        w[i] = 0.0
+)";
+
+/// Flows every statement of a proc's body but the last, then the last one
+/// (a call) alone: the states on either side of the call, and how many
+/// Syms flowing it minted.
+struct CallFlow {
+  AnalysisCtx Ctx;
+  FlowState Before, After;
+  unsigned SymsMinted = 0;
+
+  explicit CallFlow(const std::string &Src) {
+    ParseEnv Env;
+    auto M = frontend::parseModule(CallFlowLib, Env);
+    if (!M)
+      fatalError("test library parse failed: " + M.error().str());
+    auto P = parseProc(Src, Env);
+    if (!P)
+      fatalError("test parse failed: " + P.error().str());
+    const Block &Body = (*P)->body();
+    for (size_t I = 0; I + 1 < Body.size(); ++I)
+      flowStmt(Ctx, Before, Body[I]);
+    After = Before;
+    unsigned Mark = Sym::fresh("mark").id();
+    flowStmt(Ctx, After, Body.back());
+    SymsMinted = Sym::fresh("mark").id() - Mark - 1;
+  }
+
+  bool afterSets(const std::string &Field) const {
+    for (auto &[Key, Val] : After.Env)
+      if (Key.name() == Field)
+        return true;
+    return false;
+  }
+};
+
+TEST(FlowTest, DataInstructionCallIsTheIdentity) {
+  CallFlow F(R"(
+@proc
+def f(x: R[16], y: R[16]):
+    CfgFl.st = stride(x, 0)
+    v = x[0:16]
+    hw_ld(8, y[0:8], v[0:8])
+)");
+  ASSERT_EQ(F.Before.Env.size(), 1u);
+  ASSERT_EQ(F.Before.Aliases.size(), 1u);
+  EXPECT_TRUE(changedKeys(F.Before.Env, F.After.Env).empty());
+  ASSERT_EQ(F.After.Env.size(), 1u);
+  ASSERT_EQ(F.After.Aliases.size(), 1u);
+  const auto &[Name, A] = *F.Before.Aliases.begin();
+  const auto &[NameAfter, B] = *F.After.Aliases.begin();
+  EXPECT_EQ(NameAfter, Name);
+  EXPECT_EQ(B.Base, A.Base);
+  ASSERT_EQ(B.Coords.size(), A.Coords.size());
+  for (size_t I = 0; I < A.Coords.size(); ++I) {
+    EXPECT_EQ(B.Coords[I].IsInterval, A.Coords[I].IsInterval);
+    EXPECT_TRUE(B.Coords[I].Lo.Val->equals(*A.Coords[I].Lo.Val));
+    EXPECT_TRUE(B.Coords[I].Lo.Def->equals(*A.Coords[I].Lo.Def));
+  }
+  EXPECT_EQ(F.SymsMinted, 0u) << "the callee body must not be inlined";
+}
+
+TEST(FlowTest, ConfigWritingInstructionSetsItsField) {
+  CallFlow F(R"(
+@proc
+def f(x: R[16]):
+    hw_cfg(stride(x, 0))
+)");
+  EXPECT_TRUE(F.Before.Env.empty());
+  EXPECT_TRUE(F.afterSets("st"));
+}
+
+TEST(FlowTest, WrapperOfConfigWriterIsInlined) {
+  // The wrapper's only statement is a call: not state-invariant, so the
+  // wrapper is inlined and so, in turn, is the config writer.
+  CallFlow F(R"(
+@proc
+def f(x: R[16]):
+    cfg_wrapper(stride(x, 0))
+)");
+  EXPECT_TRUE(F.afterSets("st"));
+}
+
+TEST(FlowTest, CalleeWithWindowStatementIsInlined) {
+  CallFlow F(R"(
+@proc
+def f(x: R[16]):
+    zero_head(x[0:16])
+)");
+  ASSERT_EQ(F.After.Aliases.size(), 1u) << "the callee's window is bound";
+  EXPECT_EQ(F.After.Aliases.begin()->second.Base.name(), "x");
+  EXPECT_GT(F.SymsMinted, 0u) << "inlining refreshes the callee's binders";
+}
+
 TEST(ContextTest, PathConditionFromLoopsAndGuards) {
   auto P = parseProc(R"(
 @proc

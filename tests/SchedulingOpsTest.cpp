@@ -182,6 +182,46 @@ def f(x: R[8, 8], y: R[8, 8]):
       << S;
 }
 
+TEST(SchedulingOpsTest, HoistPastDataInstructionsMintsFewSyms) {
+  // Every move_up step flows the statements before the cursor. Calls to
+  // a config-free instruction flow as the identity, so they are not
+  // re-inlined (each inlining refreshes the callee's loop binder) on
+  // every step. This hoist mints 8 Syms, one per call as the effect
+  // extraction inlines it; inlining every call on every flow minted 36.
+  ParseEnv Env;
+  auto M = parseModule(R"(
+@config
+class CfgHD:
+    st : stride
+
+@instr("hw_ld({n}, {dst}.data, {src}.data);")
+def hw_ld(n: size, dst: [R][n], src: [R][n]):
+    for i in seq(0, n):
+        dst[i] = src[i]
+)",
+                       Env);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  ProcRef P = mustParse(R"(
+@proc
+def f(x: R[64], y: R[64]):
+    hw_ld(8, y[0:8], x[0:8])
+    hw_ld(8, y[8:16], x[8:16])
+    hw_ld(8, y[16:24], x[16:24])
+    hw_ld(8, y[24:32], x[24:32])
+    hw_ld(8, y[32:40], x[32:40])
+    hw_ld(8, y[40:48], x[40:48])
+    hw_ld(8, y[48:56], x[48:56])
+    hw_ld(8, y[56:64], x[56:64])
+    CfgHD.st = stride(x, 0)
+)",
+                        &Env);
+  unsigned Mark = Sym::fresh("mark").id();
+  ProcRef Q = must(hoistStmtToTop(P, "CfgHD.st = _"), "hoist");
+  unsigned Minted = Sym::fresh("mark").id() - Mark - 1;
+  EXPECT_EQ(Q->body()[0]->kind(), StmtKind::WriteConfig);
+  EXPECT_LE(Minted, 12u) << Minted << " Syms minted";
+}
+
 /// The paper's §7.2 edge-case architecture in miniature: partition the
 /// column loop into a full-width body and a masked tail, schedule the
 /// body with full vectors, the tail with masked instructions, and verify
