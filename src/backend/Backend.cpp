@@ -8,10 +8,17 @@
 
 #include "backend/BackendImpl.h"
 
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace exo;
@@ -75,17 +82,58 @@ bool detail::usesAmxSim(const std::string &Source) {
   return Source.find("amx_sim.h") != std::string::npos;
 }
 
-Expected<std::string> detail::compileCommand(const std::string &Compiler,
-                                             const std::string &Flags,
-                                             const std::string &Src,
-                                             const std::string &Out,
-                                             const std::string &SourceText,
-                                             const std::string &ErrPath) {
-  std::string Cmd = (Compiler.empty() ? "cc" : Compiler) + " " + Flags +
-                    " -o " + Out + " " + Src +
-                    " -I " EXO_SOURCE_DIR "/src/hwlibs/avx512/runtime"
-                    " -I " EXO_SOURCE_DIR "/src/hwlibs/gemmini/runtime"
-                    " -I " EXO_SOURCE_DIR "/src/hwlibs/amx/runtime";
+std::vector<int> detail::runCommands(const std::vector<Command> &Cmds) {
+  std::vector<pid_t> Pids(Cmds.size(), -1);
+  for (size_t I = 0; I < Cmds.size(); ++I) {
+    std::vector<char *> Argv;
+    for (const std::string &A : Cmds[I].Argv)
+      Argv.push_back(const_cast<char *>(A.c_str()));
+    Argv.push_back(nullptr);
+    posix_spawn_file_actions_t Actions;
+    posix_spawn_file_actions_init(&Actions);
+    posix_spawn_file_actions_addopen(&Actions, STDERR_FILENO,
+                                     Cmds[I].ErrPath.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    int Rc = posix_spawnp(&Pids[I], Argv[0], &Actions, nullptr, Argv.data(),
+                          environ);
+    posix_spawn_file_actions_destroy(&Actions);
+    if (Rc != 0) {
+      Pids[I] = -1;
+      std::ofstream(Cmds[I].ErrPath)
+          << "cannot start " << Argv[0] << ": " << std::strerror(Rc) << "\n";
+    }
+  }
+  std::vector<int> Status(Cmds.size(), -1);
+  for (size_t I = 0; I < Cmds.size(); ++I) {
+    if (Pids[I] < 0)
+      continue;
+    int Raw = 0;
+    pid_t W;
+    do
+      W = waitpid(Pids[I], &Raw, 0);
+    while (W < 0 && errno == EINTR);
+    if (W == Pids[I] && WIFEXITED(Raw))
+      Status[I] = WEXITSTATUS(Raw);
+  }
+  return Status;
+}
+
+Expected<std::vector<std::string>>
+detail::compileArgv(const std::string &Compiler,
+                    const std::vector<std::string> &Flags,
+                    const std::string &Out,
+                    const std::vector<std::string> &Inputs,
+                    const std::string &SourceText, bool Link) {
+  std::vector<std::string> Argv{Compiler.empty() ? "cc" : Compiler};
+  Argv.insert(Argv.end(), Flags.begin(), Flags.end());
+  Argv.insert(Argv.end(), {"-o", Out});
+  Argv.insert(Argv.end(), Inputs.begin(), Inputs.end());
+  for (const char *Dir : {EXO_SOURCE_DIR "/src/hwlibs/avx512/runtime",
+                          EXO_SOURCE_DIR "/src/hwlibs/gemmini/runtime",
+                          EXO_SOURCE_DIR "/src/hwlibs/amx/runtime"})
+    Argv.insert(Argv.end(), {"-I", Dir});
+  if (!Link)
+    return Argv;
   // The simulator objects are build artifacts (src/CMakeLists.txt); each
   // module links its own copy of the ones its source includes.
   std::vector<const char *> SimObjects;
@@ -98,10 +146,50 @@ Expected<std::string> detail::compileCommand(const std::string &Compiler,
       return makeError(Error::Kind::Backend,
                        std::string("simulator object ") + Obj +
                            " is missing (rebuild the exo_backend target)");
-    Cmd += std::string(" ") + Obj;
+    Argv.push_back(Obj);
   }
-  Cmd += " -lm 2> " + ErrPath;
-  return Cmd;
+  Argv.push_back("-lm");
+  return Argv;
+}
+
+unsigned detail::unitCount(const CModule &M, unsigned HwThreads) {
+  // At -O0 on a 4-core x86 host, `cc -c` spends about 15 ms on a unit
+  // however small (process start, the prelude, the object file) and about
+  // 3.5 ms per KB of definitions, and linking the objects costs about
+  // 20 ms. A unit of less than this does not repay its share of those.
+  constexpr size_t MinUnitBytes = 8 * 1024;
+  size_t DefBytes = M.Text.size() - M.PreludeBytes;
+  return static_cast<unsigned>(std::max<size_t>(
+      1, std::min<size_t>(HwThreads, DefBytes / MinUnitBytes)));
+}
+
+std::vector<std::vector<size_t>> detail::planUnits(const CModule &M,
+                                                   unsigned Units) {
+  std::vector<size_t> GroupBytes;
+  for (const CModule::Def &D : M.Defs) {
+    if (D.Group >= GroupBytes.size())
+      GroupBytes.resize(D.Group + 1, 0);
+    GroupBytes[D.Group] += D.End - D.Begin;
+  }
+  Units = std::max(1u, std::min<unsigned>(Units, GroupBytes.size()));
+  // Largest group first, each onto the lightest unit so far.
+  std::vector<unsigned> ByBytes(GroupBytes.size());
+  std::iota(ByBytes.begin(), ByBytes.end(), 0u);
+  std::stable_sort(ByBytes.begin(), ByBytes.end(), [&](unsigned A, unsigned B) {
+    return GroupBytes[A] > GroupBytes[B];
+  });
+  std::vector<size_t> Load(Units, 0);
+  std::vector<unsigned> UnitOf(GroupBytes.size(), 0);
+  for (unsigned G : ByBytes) {
+    unsigned U = static_cast<unsigned>(
+        std::min_element(Load.begin(), Load.end()) - Load.begin());
+    UnitOf[G] = U;
+    Load[U] += GroupBytes[G];
+  }
+  std::vector<std::vector<size_t>> Plan(Units);
+  for (size_t I = 0; I < M.Defs.size(); ++I)
+    Plan[UnitOf[M.Defs[I].Group]].push_back(I);
+  return Plan;
 }
 
 std::string detail::readFile(const std::string &Path) {
@@ -120,12 +208,12 @@ std::string detail::truncated(std::string S, size_t N) {
 Expected<LoweredModuleRef>
 detail::lowerCommon(const std::vector<ProcRef> &Procs, const LowerOptions &LO,
                     const std::string &BackendName) {
-  auto C = generateC(Procs, LO.CG);
+  auto C = generateModule(Procs, LO.CG);
   if (!C)
     return C.error();
 
   auto M = std::make_shared<LoweredModule>();
-  ModuleAccess::source(*M) = std::move(*C);
+  ModuleAccess::module(*M) = std::move(*C);
   // Tenant/compiler salts partition the content-addressed module caches;
   // the unsalted form is kept bit-stable so existing hashes (and the
   // csource-vs-jit equal-hash property under equal options) don't move.

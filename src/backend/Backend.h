@@ -22,8 +22,9 @@
 ///    accelerator trap is contained by process isolation.
 ///
 ///  * JitBackend compiles the same C to a temp .so (one `cc -shared
-///    -fPIC` per distinct source, content-hashed module cache, dlclose on
-///    eviction) and calls entries in-process through generated
+///    -fPIC` per distinct source, or a large module's independent parts
+///    as parallel `cc -c` units linked once; content-hashed module cache,
+///    dlclose on eviction) and calls entries in-process through generated
 ///    trampolines. Accelerator traps are contained per module: each .so
 ///    links a private copy of the build's prebuilt simulator objects (the
 ///    csource harness binary links one too), and the backend routes that
@@ -117,7 +118,9 @@ struct EntryInfo {
 /// is still in use defers the dlclose until that module is destroyed.
 class LoweredModule {
 public:
-  const std::string &source() const { return Source; }
+  const std::string &source() const { return C.Text; }
+  /// source() with its layout: the prelude, each definition and its group.
+  const CModule &layout() const { return C; }
   /// FNV-1a of source(), hex — the JIT cache key.
   const std::string &hash() const { return Hash; }
   const std::string &backendName() const { return BackendName; }
@@ -136,7 +139,7 @@ private:
   friend class CSourceBackend;
   friend class JitBackend;
   friend struct detail::ModuleAccess;
-  std::string Source;
+  CModule C;
   std::string Hash;
   std::string BackendName;
   std::vector<EntryInfo> Entries;

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Helpers shared by CSourceBackend and JitBackend: module construction
-/// (generateC + entry metadata + content hash), the host-compiler command
-/// line (simulator runtime include paths, conditional sim objects), and
+/// (generateModule + entry metadata + content hash), child processes and
+/// the host-compiler argv (simulator runtime include paths, conditional
+/// sim objects), the JIT's split into translation units, and
 /// the generic `void exo_rt_<entry>(void **)` trampoline emission both
 /// execution paths marshal through. Internal to src/backend.
 ///
@@ -25,7 +26,7 @@ namespace detail {
 /// Grants module-construction code access to LoweredModule's private
 /// fields without widening the public API.
 struct ModuleAccess {
-  static std::string &source(LoweredModule &M) { return M.Source; }
+  static CModule &module(LoweredModule &M) { return M.C; }
   static std::string &hash(LoweredModule &M) { return M.Hash; }
   static std::string &backendName(LoweredModule &M) { return M.BackendName; }
   static std::vector<EntryInfo> &entries(LoweredModule &M) {
@@ -52,16 +53,38 @@ Expected<LoweredModuleRef> lowerCommon(const std::vector<ir::ProcRef> &Procs,
 bool usesGemminiSim(const std::string &Source);
 bool usesAmxSim(const std::string &Source);
 
-/// The full host-compiler command: `<cc> <Flags> -o <Out> <Src> -I <sim
-/// runtimes> [sim objects] -lm 2> <ErrPath>`. A simulator object is
-/// appended only when \p SourceText references its header; an error
-/// naming the path when that object is missing from the build tree.
-Expected<std::string> compileCommand(const std::string &Compiler,
-                                     const std::string &Flags,
-                                     const std::string &Src,
-                                     const std::string &Out,
-                                     const std::string &SourceText,
-                                     const std::string &ErrPath);
+/// One child process: its argv (argv[0] is looked up on PATH; no shell
+/// ever sees the arguments) and the file its stderr is written to.
+struct Command {
+  std::vector<std::string> Argv;
+  std::string ErrPath;
+};
+
+/// Starts every command at once (posix_spawn) and reaps each (waitpid).
+/// Returns their exit statuses in order; -1 for a command that could not
+/// start (the reason is written to its ErrPath) or died by a signal.
+std::vector<int> runCommands(const std::vector<Command> &Cmds);
+
+/// The host-compiler argv: `<cc> <Flags> -o <Out> <Inputs> -I <sim
+/// runtimes>`, and when \p Link is set, the prebuilt simulator objects
+/// \p SourceText references and -lm. An error naming the path when such
+/// an object is missing from the build tree.
+Expected<std::vector<std::string>>
+compileArgv(const std::string &Compiler, const std::vector<std::string> &Flags,
+            const std::string &Out, const std::vector<std::string> &Inputs,
+            const std::string &SourceText, bool Link);
+
+/// How many translation units a JIT compile of \p M should use given
+/// \p HwThreads host threads: one unless the definitions hold enough
+/// bytes for each extra unit to repay its fixed cost (DESIGN.md,
+/// "Performance").
+unsigned unitCount(const CModule &M, unsigned HwThreads);
+
+/// Splits \p M's definitions into at most \p Units translation units,
+/// never separating a group, balancing the units by bytes. Returns each
+/// unit's definition indices in source order; one unit when \p M has one
+/// group (or \p Units is 1).
+std::vector<std::vector<size_t>> planUnits(const CModule &M, unsigned Units);
 
 /// C source for the `void exo_rt_<name>(void **a)` trampolines of every
 /// executable entry: a[i] is read as int64_t for controls and cast to the

@@ -25,12 +25,9 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
-
-#include <sys/wait.h>
 
 using namespace exo;
 using namespace exo::backend;
@@ -160,13 +157,13 @@ ExecStatus ensureBuilt(LoweredModule &M, CsModule &S) {
     std::ofstream F(Src);
     F << M.source() << emitHarness(M);
   }
-  auto Cmd = compileCommand(M.compilerHint(), "-O1 -std=c11", Src, S.Exe,
-                            M.source(), Err);
-  if (!Cmd) {
-    S.BuildError = "csource: " + Cmd.error().message();
+  auto Argv = compileArgv(M.compilerHint(), {"-O1", "-std=c11"}, S.Exe,
+                          {Src}, M.source(), /*Link=*/true);
+  if (!Argv) {
+    S.BuildError = "csource: " + Argv.error().message();
     return {ExecKind::CompileError, 0, S.BuildError};
   }
-  if (std::system(Cmd->c_str()) != 0) {
+  if (runCommands({{std::move(*Argv), Err}})[0] != 0) {
     S.BuildError = "cc failed on " + S.Dir.keep() + ": " +
                    truncated(readFile(Err), 800);
     return {ExecKind::CompileError, 0, S.BuildError};
@@ -230,10 +227,7 @@ ExecStatus CSourceBackend::execute(LoweredModule &M, const std::string &Entry,
     }
   }
 
-  std::string Cmd = "'" + S.Exe + "' '" + Entry + "' '" + In + "' '" + Out +
-                    "' 2> '" + Err + "'";
-  int Raw = std::system(Cmd.c_str());
-  int Rc = WIFEXITED(Raw) ? WEXITSTATUS(Raw) : -1;
+  int Rc = runCommands({{{S.Exe, Entry, In, Out}, Err}})[0];
 
   auto cleanup = [&] {
     if (!S.Dir.kept()) {

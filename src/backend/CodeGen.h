@@ -37,8 +37,32 @@ struct CodeGenOptions {
   bool SkipChecks = false;
 };
 
+/// A generated C file and where its parts lie. Text[0, PreludeBytes) is
+/// what any translation unit of the file needs: includes, memory and
+/// instruction globals, window typedefs, the static config structs and the
+/// forward declarations. Each Def is one procedure's definition. Defs of
+/// one Group must be compiled in the same unit: a caller with its non-instr
+/// callees, and every procedure that reads or writes the same config (each
+/// unit would get its own copy of a static config struct). A file whose
+/// globals or prelude hold anything but preprocessor lines and line
+/// comments is one group, since each unit would define it again.
+struct CModule {
+  struct Def {
+    std::string Name;
+    size_t Begin = 0, End = 0; ///< the definition is Text[Begin, End)
+    unsigned Group = 0;        ///< dense, numbered in order of first use
+  };
+  std::string Text;
+  size_t PreludeBytes = 0;
+  std::vector<Def> Defs;
+};
+
 /// Generates one self-contained C file defining \p Procs (and every
-/// non-instr procedure they transitively call).
+/// non-instr procedure they transitively call), with its layout.
+Expected<CModule> generateModule(const std::vector<ir::ProcRef> &Procs,
+                                 const CodeGenOptions &Opts = {});
+
+/// generateModule's Text alone.
 Expected<std::string> generateC(const std::vector<ir::ProcRef> &Procs,
                                 const CodeGenOptions &Opts = {});
 

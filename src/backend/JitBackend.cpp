@@ -8,7 +8,9 @@
 /// The in-process execution path: the module source (identical to the
 /// csource backend's, byte for byte) plus generated `exo_rt_<entry>`
 /// trampolines are compiled once with `cc -O0 -shared -fPIC` into a temp
-/// .so and dlopened. Compiled modules live in a process-wide
+/// .so and dlopened; a module large enough to repay it is compiled as
+/// concurrent `cc -c` translation units and linked once (DESIGN.md,
+/// "Performance"). Compiled modules live in a process-wide
 /// content-hashed cache (key: FNV-1a of the generated source), so
 /// re-lowering the same program — the autotuner's and the fuzz replay
 /// loop's common case — costs a hash lookup instead of a compile. LRU
@@ -39,6 +41,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include <dlfcn.h>
 
@@ -147,7 +150,10 @@ struct JitCache {
 };
 
 /// Compiles one module into a fresh .so; returns a JitModule whose
-/// BuildError is set on failure (with the evidence directory kept).
+/// BuildError is set on failure (with the evidence directory kept). A
+/// module big enough to repay it is split into translation units that
+/// compile concurrently and are linked once; any other module is one
+/// `cc -shared` of the whole source.
 JitModuleRef compileModule(const LoweredModule &M) {
   support::ignoreSigpipe(); // cc children write through pipes
   auto J = std::make_shared<JitModule>();
@@ -161,11 +167,13 @@ JitModuleRef compileModule(const LoweredModule &M) {
   if (M.keepArtifactsHint())
     J->Dir.keep();
 
-  std::string Src = J->Dir.file("module_" + M.hash() + ".c");
-  std::string So = J->Dir.file("module_" + M.hash() + ".so");
-  std::string Err = Src + ".cc.err";
+  // The whole module is always written: it is the single unit's input and
+  // the evidence when a split unit fails.
+  const CModule &C = M.layout();
+  std::string Base = J->Dir.file("module_" + M.hash());
+  std::string So = Base + ".so";
   {
-    std::ofstream F(Src);
+    std::ofstream F(Base + ".c");
     F << M.source() << emitTrampolines(M.entries());
   }
   // -O0 halves compile time vs -O1 and execution is bit-identical on the
@@ -173,14 +181,58 @@ JitModuleRef compileModule(const LoweredModule &M) {
   // warning-noisy under harnesses and the diagnostics go nowhere.
   // The simulator objects are built with these same flags (minus
   // -shared), so the simulator bytes in every module are identical.
-  auto Cmd = compileCommand(M.compilerHint(),
-                            "-O0 -w -pipe -std=c11 -shared -fPIC", Src, So,
-                            M.source(), Err);
-  if (!Cmd) {
-    J->BuildError = "jit: " + Cmd.error().message();
+  const std::vector<std::string> Flags = {"-O0", "-w", "-pipe", "-std=c11",
+                                          "-fPIC"};
+  std::vector<std::vector<size_t>> Plan =
+      planUnits(C, unitCount(C, std::thread::hardware_concurrency()));
+  // A split module's units compile with `cc -c`, each to its own object;
+  // the final `cc -shared` links them (or compiles the one whole source).
+  std::vector<Command> Units;
+  std::vector<std::string> Inputs;
+  for (size_t U = 0; Plan.size() > 1 && U < Plan.size(); ++U) {
+    std::string Unit = Base + "_u" + std::to_string(U);
+    std::vector<EntryInfo> Entries;
+    {
+      std::ofstream F(Unit + ".c");
+      F.write(C.Text.data(), static_cast<std::streamsize>(C.PreludeBytes));
+      for (size_t D : Plan[U]) {
+        const CModule::Def &Def = C.Defs[D];
+        F.write(C.Text.data() + Def.Begin,
+                static_cast<std::streamsize>(Def.End - Def.Begin));
+        if (const EntryInfo *E = M.findEntry(Def.Name))
+          Entries.push_back(*E);
+      }
+      F << emitTrampolines(Entries);
+    }
+    std::vector<std::string> Compile = Flags;
+    Compile.push_back("-c");
+    Units.push_back({*compileArgv(M.compilerHint(), Compile, Unit + ".o",
+                                  {Unit + ".c"}, M.source(), /*Link=*/false),
+                     Unit + ".c.cc.err"});
+    Inputs.push_back(Unit + ".o");
+  }
+  if (Inputs.empty())
+    Inputs.push_back(Base + ".c");
+  std::vector<std::string> Shared = Flags;
+  Shared.push_back("-shared");
+  auto Link = compileArgv(M.compilerHint(), Shared, So, Inputs, M.source(),
+                          /*Link=*/true);
+  if (!Link) {
+    J->BuildError = "jit: " + Link.error().message();
     return J;
   }
-  if (std::system(Cmd->c_str()) != 0) {
+
+  std::vector<int> Status = runCommands(Units);
+  for (size_t U = 0; U < Units.size(); ++U)
+    if (Status[U] != 0) {
+      J->BuildError = "cc failed on " + J->Dir.keep() + " (unit " +
+                      std::to_string(U) + " of " +
+                      std::to_string(Units.size()) + "): " +
+                      truncated(readFile(Units[U].ErrPath), 800);
+      return J;
+    }
+  std::string Err = Base + ".c.cc.err";
+  if (runCommands({{std::move(*Link), Err}})[0] != 0) {
     J->BuildError = "cc failed on " + J->Dir.keep() + ": " +
                     truncated(readFile(Err), 800);
     return J;

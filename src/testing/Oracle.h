@@ -20,8 +20,8 @@
 /// ProgramGen.h — so float/double/int32 all represent results exactly; a
 /// ULP tolerance knob exists for non-integer modes).
 ///
-/// Cases are batched: one lowered module (one `cc` invocation) covers a
-/// whole batch, and with the JIT backend a replayed batch is a cache hit
+/// Cases are batched: one lowered module (one compile) covers a whole
+/// batch, and with the JIT backend a replayed batch is a cache hit
 /// — no compile, no process spawn — which is what makes the smoke target
 /// cheap enough for tier-1.
 ///

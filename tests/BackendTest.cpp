@@ -10,13 +10,17 @@
 // differential over the pinned fuzz corpus, the JIT module cache
 // counters, in-process trap containment via the simulator fault hook,
 // simulator state kept private to each module, the region registry reset
-// before every call, instruction globals that link the simulator, and the
-// AMX and Gemmini matmul case studies end-to-end through both backends.
+// before every call, instruction globals that link the simulator, the
+// AMX and Gemmini matmul case studies end-to-end through both backends,
+// compiles under paths with spaces, and the JIT's split of a module into
+// translation units (grouping, unit failures, a split fuzz block).
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/Backend.h"
+#include "backend/BackendImpl.h"
 
+#include "WideModule.h"
 #include "apps/AmxMatmul.h"
 #include "apps/GemminiMatmul.h"
 #include "driver/KernelSuite.h"
@@ -24,12 +28,15 @@
 #include "hwlibs/gemmini/GemminiLib.h"
 #include "support/TempDir.h"
 #include "testing/Corpus.h"
+#include "testing/Fuzzer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <cstdlib>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 using namespace exo;
@@ -609,5 +616,265 @@ TEST(AmxMatmul, EndToEndBothBackendsMatchNaiveReference) {
           << P->name() << " via " << BE->name()
           << " diverged from the naive reference";
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Generated-C compiles: paths and translation units
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The unit of \p Plan that holds the definition named \p Name; -1 if none.
+int unitOf(const CModule &M, const std::vector<std::vector<size_t>> &Plan,
+           const std::string &Name) {
+  for (size_t U = 0; U < Plan.size(); ++U)
+    for (size_t D : Plan[U])
+      if (M.Defs[D].Name == Name)
+        return static_cast<int>(U);
+  return -1;
+}
+
+/// Files in \p Dir whose names contain \p Part.
+size_t countFiles(const std::string &Dir, const std::string &Part) {
+  size_t N = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    N += E.path().filename().string().find(Part) != std::string::npos;
+  return N;
+}
+
+/// Sets TMPDIR for one scope.
+struct ScopedTmpdir {
+  std::string Old;
+  bool Had;
+  explicit ScopedTmpdir(const std::string &Dir) {
+    const char *O = std::getenv("TMPDIR");
+    Had = O != nullptr;
+    Old = O ? O : "";
+    setenv("TMPDIR", Dir.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (Had)
+      setenv("TMPDIR", Old.c_str(), 1);
+    else
+      unsetenv("TMPDIR");
+  }
+};
+
+} // namespace
+
+TEST(BackendExec, PathsWithSpacesCompileAndRunOnBothBackends) {
+  support::TempDir Root("spaces");
+  ASSERT_TRUE(Root.valid());
+  std::string Spaced = Root.file("sp ace");
+  std::filesystem::create_directories(Spaced);
+  ScopedTmpdir Tmp(Spaced);
+
+  ProcRef P = addOneProc();
+  for (Backend *BE : {static_cast<Backend *>(&csourceBackend()),
+                      static_cast<Backend *>(&jitBackend())}) {
+    JitBackend::clearCache();
+    auto M = BE->lower(P);
+    ASSERT_TRUE(bool(M)) << BE->name() << ": " << M.error().str();
+    std::vector<float> A(8), B(8, 0.0f);
+    for (size_t I = 0; I < A.size(); ++I)
+      A[I] = static_cast<float>(I);
+    BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                      RunArg::buffer(B.data(), B.size() * sizeof(float))};
+    ExecStatus S = BE->execute(**M, "add_one", Args);
+    ASSERT_TRUE(S.ok()) << BE->name() << ": " << execKindName(S.Kind)
+                        << ": " << S.Detail;
+    for (size_t I = 0; I < B.size(); ++I)
+      EXPECT_EQ(B[I], A[I] + 1.0f) << BE->name() << " at " << I;
+  }
+
+  // The split path: unit sources, objects and the link all live there too.
+  auto W = jitBackend().lower(testhelp::wideProcs("spaced_"));
+  ASSERT_TRUE(bool(W)) << W.error().str();
+  std::vector<float> A(16, 1.0f), B(16, 0.0f);
+  BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                    RunArg::buffer(B.data(), B.size() * sizeof(float))};
+  ExecStatus S = jitBackend().execute(**W, "spaced_0", Args);
+  ASSERT_TRUE(S.ok()) << execKindName(S.Kind) << ": " << S.Detail;
+  EXPECT_EQ(B[0], 240.0f); // 120 lines adding 0, 1, 2, 3, 4 in turn
+}
+
+TEST(JitUnits, CallerAndCalleeShareAUnit) {
+  frontend::ParseEnv Env;
+  auto Parsed = frontend::parseModule(R"(
+@proc
+def leaf(A: R[8]):
+    for i in seq(0, 8):
+        A[i] = 1.0
+
+@proc
+def caller(A: R[8]):
+    leaf(A)
+)",
+                                      Env);
+  ASSERT_TRUE(bool(Parsed)) << Parsed.error().str();
+  std::vector<ProcRef> Roots = testhelp::wideProcs("free_", 1, 4);
+  Roots.push_back(Parsed->Procs[1]);
+  auto M = generateModule(Roots);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  ASSERT_EQ(M->Defs.size(), 3u); // the callee is pulled in
+
+  // The layout cuts the text exactly: the prelude, then each definition.
+  std::string Joined = M->Text.substr(0, M->PreludeBytes);
+  for (const CModule::Def &D : M->Defs)
+    Joined += M->Text.substr(D.Begin, D.End - D.Begin);
+  EXPECT_EQ(Joined, M->Text);
+  EXPECT_EQ(M->Text, *generateC(Roots));
+
+  auto Plan = detail::planUnits(*M, 3);
+  EXPECT_EQ(Plan.size(), 2u); // {caller, leaf} and the free proc
+  EXPECT_NE(unitOf(*M, Plan, "leaf"), -1);
+  EXPECT_EQ(unitOf(*M, Plan, "leaf"), unitOf(*M, Plan, "caller"));
+}
+
+TEST(JitUnits, ProcsSharingAConfigShareAUnit) {
+  frontend::ParseEnv Env;
+  auto Parsed = frontend::parseModule(R"(
+@config
+class CfgUnits:
+    s : stride
+
+@proc
+def writer(x: R[8, 8]):
+    CfgUnits.s = stride(x, 0)
+
+@proc
+def reader(y: R[8]):
+    y[CfgUnits.s] = 1.0
+
+@proc
+def bystander(y: R[8]):
+    y[0] = 2.0
+)",
+                                      Env);
+  ASSERT_TRUE(bool(Parsed)) << Parsed.error().str();
+  auto M = generateModule(Parsed->Procs);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  auto Plan = detail::planUnits(*M, 3);
+  EXPECT_EQ(Plan.size(), 2u); // {writer, reader} and {bystander}
+  EXPECT_EQ(unitOf(*M, Plan, "writer"), unitOf(*M, Plan, "reader"));
+  EXPECT_NE(unitOf(*M, Plan, "writer"), unitOf(*M, Plan, "bystander"));
+}
+
+TEST(JitUnits, SingleGroupModuleIsOneUnit) {
+  auto One = generateModule(testhelp::wideProcs("alone_", 1, 600));
+  ASSERT_TRUE(bool(One)) << One.error().str();
+  EXPECT_GE(detail::unitCount(*One, 4), 2u); // big enough, but one group
+  EXPECT_EQ(detail::planUnits(*One, 4).size(), 1u);
+
+  // A prelude that defines something would be defined once per unit.
+  CodeGenOptions Defining;
+  Defining.Prelude = "static int exo_calls;";
+  auto Stateful = generateModule(testhelp::wideProcs("stateful_"), Defining);
+  ASSERT_TRUE(bool(Stateful)) << Stateful.error().str();
+  EXPECT_EQ(detail::planUnits(*Stateful, 4).size(), 1u);
+
+  // Many groups but too few bytes to repay a second unit.
+  auto Small = generateModule(testhelp::wideProcs("small_", 4, 2));
+  ASSERT_TRUE(bool(Small)) << Small.error().str();
+  EXPECT_EQ(detail::unitCount(*Small, 4), 1u);
+  EXPECT_EQ(detail::planUnits(*Small, 1).size(), 1u);
+
+  // A module of the fuzz block's size splits across every host thread.
+  auto Wide = generateModule(testhelp::wideProcs("wide_"));
+  ASSERT_TRUE(bool(Wide)) << Wide.error().str();
+  EXPECT_EQ(detail::unitCount(*Wide, 4), 4u);
+  EXPECT_EQ(detail::unitCount(*Wide, 1), 1u);
+  EXPECT_EQ(detail::planUnits(*Wide, 4).size(), 4u);
+}
+
+TEST(JitUnits, FailingUnitReportsItsOwnDiagnostics) {
+  frontend::ParseEnv Env;
+  auto Parsed = frontend::parseModule(R"(
+@instr("this_is_not_c({a}.data;")
+def broken(a: [R][16]):
+    for i in seq(0, 16):
+        a[i] = 0.0
+
+@proc
+def uses_broken(A: R[16], B: R[16]):
+    broken(B[0:16])
+)",
+                                      Env);
+  ASSERT_TRUE(bool(Parsed)) << Parsed.error().str();
+  std::vector<ProcRef> Procs = testhelp::wideProcs("fine_");
+  Procs.push_back(Parsed->Procs[1]);
+
+  support::TempDir Dir("units");
+  ASSERT_TRUE(Dir.valid());
+  LowerOptions LO;
+  LO.WorkDir = Dir.path();
+  LO.KeepArtifacts = true;
+  JitBackend::clearCache();
+  auto M = jitBackend().lower(Procs, LO);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  std::vector<float> A(16, 1.0f), B(16, 0.0f);
+  BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                    RunArg::buffer(B.data(), B.size() * sizeof(float))};
+  ExecStatus S = jitBackend().execute(**M, "fine_0", Args);
+  ASSERT_EQ(S.Kind, ExecKind::CompileError) << S.Detail;
+  EXPECT_NE(S.Detail.find("this_is_not_c"), std::string::npos) << S.Detail;
+
+  // The evidence: the whole module, and every unit when it was split.
+  const CModule &C = (*M)->layout();
+  size_t Units =
+      detail::planUnits(C, detail::unitCount(
+                               C, std::thread::hardware_concurrency()))
+          .size();
+  std::string Base = Dir.file("module_" + (*M)->hash());
+  EXPECT_TRUE(std::filesystem::exists(Base + ".c"));
+  for (size_t U = 0; U < Units; ++U)
+    EXPECT_EQ(std::filesystem::exists(Base + "_u" + std::to_string(U) + ".c"),
+              Units > 1)
+        << "unit " << U;
+  if (Units > 1) {
+    EXPECT_NE(S.Detail.find("of " + std::to_string(Units) + ")"),
+              std::string::npos)
+        << S.Detail;
+  }
+}
+
+TEST(JitUnits, SplitFuzzBlockAgreesAcrossBackends) {
+  // The 8-program x 3-schedule fuzz block at seed 1 (plus each program's
+  // unscheduled case) is one oracle batch: one module, large enough for
+  // the JIT to split. Agreement at tolerance 0 means each backend's
+  // buffers are bit-identical to the interpreter's, hence to each other.
+  std::vector<ftest::OracleCase> Cases;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    for (unsigned Variant = 0; Variant <= 3; ++Variant) {
+      auto Case = ftest::makeCorpusCase(Seed, Variant, {}, {});
+      ASSERT_TRUE(bool(Case)) << Case.error().str();
+      auto OC = ftest::materializeCorpus(*Case);
+      ASSERT_TRUE(bool(OC)) << OC.error().str();
+      Cases.push_back(*OC);
+    }
+
+  support::TempDir Dir("fuzzunits");
+  ASSERT_TRUE(Dir.valid());
+  std::vector<std::vector<ftest::OracleOutcome>> PerBackend;
+  for (const char *Name : {"csource", "jit"}) {
+    JitBackend::clearCache();
+    ftest::OracleOptions O;
+    O.Backend = Name;
+    O.WorkDir = Dir.file(Name);
+    O.KeepFiles = true;
+    auto Out = ftest::runOracle(Cases, O);
+    ASSERT_TRUE(bool(Out)) << Name << ": " << Out.error().str();
+    PerBackend.push_back(*Out);
+  }
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GE(countFiles(Dir.file("jit"), "_u1.o"), 1u)
+        << "the block's JIT module was not split";
+  }
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    EXPECT_TRUE(PerBackend[0][I].ok())
+        << "case " << I << " (csource): " << PerBackend[0][I].Detail;
+    EXPECT_EQ(PerBackend[0][I].Status, PerBackend[1][I].Status)
+        << "case " << I << ": " << PerBackend[1][I].Detail;
   }
 }

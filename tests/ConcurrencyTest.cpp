@@ -7,8 +7,9 @@
 /// \file
 /// Hammers every shared compiler structure — the sharded term interner,
 /// the striped solver query cache, the effect-summary cache, the symbol
-/// table, the thread pool itself, and the autotuner's concurrent module
-/// builds and executions — from many threads at once, and asserts the
+/// table, the thread pool itself, the autotuner's concurrent module
+/// builds and executions, and JIT modules split into translation units
+/// built side by side — from many threads at once, and asserts the
 /// results are bit-identical to a serial run. Built as its
 /// own binary so it can also be compiled with -DEXO_ENABLE_TSAN=ON
 /// (ctest label: tsan) to turn every latent data race into a hard
@@ -16,9 +17,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "WideModule.h"
 #include "analysis/EffectCache.h"
 #include "analysis/Effects.h"
-#include "backend/CodeGen.h"
+#include "backend/Backend.h"
 #include "frontend/Parser.h"
 #include "scheduling/Schedule.h"
 #include "smt/Simplify.h"
@@ -308,6 +310,43 @@ TEST(ConcurrencyTest, TunerBuildsAndRunsModulesConcurrently) {
   EXPECT_EQ(Par.Stats.Ok, Ser.Stats.Ok);
   EXPECT_EQ(Par.Best.Eval.Score, Ser.Best.Eval.Score);
   EXPECT_EQ(Par.Best.Eval.SimCycles, Ser.Best.Eval.SimCycles);
+}
+
+TEST(ConcurrencyTest, SplitModulesBuildFromTwoThreadsAtOnce) {
+  // The tuner's shape: two evaluation threads each compile their own
+  // module at the same time. Both modules are large enough for the JIT to
+  // split into translation units, so their unit compiles overlap too.
+  using namespace exo::backend;
+  std::vector<std::vector<ProcRef>> Modules = {testhelp::wideProcs("left_"),
+                                               testhelp::wideProcs("right_")};
+  std::vector<std::vector<float>> Out(Modules.size());
+  std::vector<std::string> Errors(Modules.size());
+  std::vector<std::thread> Ts;
+  for (size_t T = 0; T < Modules.size(); ++T)
+    Ts.emplace_back([&, T] {
+      auto M = jitBackend().lower(Modules[T]);
+      if (!M) {
+        Errors[T] = M.error().str();
+        return;
+      }
+      for (const EntryInfo &E : (*M)->entries()) {
+        std::vector<float> A(16, 1.0f), B(16, 0.0f);
+        BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                          RunArg::buffer(B.data(), B.size() * sizeof(float))};
+        ExecStatus S = jitBackend().execute(**M, E.Name, Args);
+        if (!S.ok())
+          Errors[T] = E.Name + ": " + S.Detail;
+        Out[T].push_back(B[0]);
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  for (size_t T = 0; T < Modules.size(); ++T) {
+    ASSERT_TRUE(Errors[T].empty()) << Errors[T];
+    ASSERT_EQ(Out[T].size(), 8u);
+    for (size_t K = 0; K < Out[T].size(); ++K) // 120 lines of K + L % 5
+      EXPECT_EQ(Out[T][K], 120.0f * K + 240.0f) << "module " << T;
+  }
 }
 
 } // namespace
