@@ -6,7 +6,6 @@
 
 #include "analysis/Context.h"
 
-#include "analysis/EffectSnapshot.h"
 #include "support/Error.h"
 
 #include <functional>
@@ -128,18 +127,9 @@ ContextInfo exo::analysis::computeContext(AnalysisCtx &Ctx, const Proc &P,
                                           const StmtCursor &C) {
   ContextInfo Info;
 
-  // Incremental mode: per-subtree summaries (config sets, stabilization
-  // probes) come from the thread's snapshot when one is active. The
-  // snapshot serves exactly what the inline walks below would compute, so
-  // the two modes differ only in work saved, never in results.
-  EffectSnapshot *Snap = activeEffectSnapshot();
   auto AddCfg = [&](const StmtRef &S) {
-    if (Snap) {
-      Snap->configSets(S, Info.PostReadFields, Info.PostWriteFields);
-    } else {
-      collectConfigReads(S, Info.PostReadFields);
-      collectConfigWrites({S}, Info.PostWriteFields);
-    }
+    collectConfigReads(S, Info.PostReadFields);
+    collectConfigWrites({S}, Info.PostWriteFields);
   };
 
   // Asserted preconditions strengthen the path condition (§3.1 item 6).
@@ -185,16 +175,11 @@ ContextInfo exo::analysis::computeContext(AnalysisCtx &Ctx, const Proc &P,
       // bind the iterator to a fresh variable constrained by its bounds.
       EffInt Lo = Ctx.liftControl(S->lo(), Info.Pre.Env);
       EffInt Hi = Ctx.liftControl(S->hi(), Info.Pre.Env);
-      if (Snap) {
-        havocKeys(Ctx, Info.Pre.Env,
-                  Snap->loopStabilizedKeys(Ctx, S, Info.Pre));
-      } else {
-        FlowState Probe = Info.Pre;
-        Probe.Env[S->name()] = Ctx.unknownInt();
-        flowBlock(Ctx, Probe, S->body());
-        Probe.Env.erase(S->name());
-        havocKeys(Ctx, Info.Pre.Env, changedKeys(Info.Pre.Env, Probe.Env));
-      }
+      FlowState Probe = Info.Pre;
+      Probe.Env[S->name()] = Ctx.unknownInt();
+      flowBlock(Ctx, Probe, S->body());
+      Probe.Env.erase(S->name());
+      havocKeys(Ctx, Info.Pre.Env, changedKeys(Info.Pre.Env, Probe.Env));
       // Use the symbol's canonical solver variable so downstream passes
       // (notably unification) can render solutions back to expressions.
       smt::TermVar X = Ctx.varFor(S->name());

@@ -7,7 +7,6 @@
 #include "analysis/Dataflow.h"
 
 #include "analysis/EffectCache.h"
-#include "analysis/EffectSnapshot.h"
 #include "ir/Subst.h"
 
 #include <algorithm>
@@ -162,20 +161,12 @@ void exo::analysis::flowStmt(AnalysisCtx &Ctx, FlowState &State,
   case StmtKind::For: {
     // Stabilization heuristic (§5.3): run the body symbolically once; any
     // global that does not provably return to its entry value is ⊥ both
-    // inside subsequent analysis and after the loop. The snapshot's probe
-    // cache computes exactly this (same copy/bind/flow/diff), so flows in
-    // incremental mode share its per-(node, env-slice) lines.
-    if (EffectSnapshot *Snap = activeEffectSnapshot()) {
-      havocKeys(Ctx, State.Env, Snap->loopStabilizedKeys(Ctx, S, State));
-      return;
-    }
+    // inside subsequent analysis and after the loop.
     FlowState BodyState = State;
     BodyState.Env[S->name()] = Ctx.unknownInt(); // some iteration
     flowBlock(Ctx, BodyState, S->body());
     BodyState.Env.erase(S->name());
-    EffEnv Entry = State.Env;
-    std::vector<Sym> Changed = changedKeys(Entry, BodyState.Env);
-    havocKeys(Ctx, State.Env, Changed);
+    havocKeys(Ctx, State.Env, changedKeys(State.Env, BodyState.Env));
     return;
   }
   case StmtKind::Call: {

@@ -125,8 +125,6 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
       ++Out.NumDeadlineMiss;
     if (R.Retries > 0)
       ++Out.NumRetried;
-    Out.Cache.IncrementalHits += R.IncrementalHits;
-    Out.Cache.IncrementalMisses += R.IncrementalMisses;
   }
 
   smt::Solver::Stats Solver1 = smt::solverGlobalStats();

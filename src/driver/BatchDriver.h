@@ -50,8 +50,10 @@ struct BatchCacheStats {
   uint64_t FastPathHits = 0;
   uint64_t FastPathMisses = 0;
   uint64_t CooperLiterals = 0;
-  /// Incremental re-analysis activity, summed over the per-job
-  /// EffectSnapshots (DESIGN.md, "Incremental analysis").
+  /// Always 0: context analysis keeps no per-job summary memo any more
+  /// (DESIGN.md, "Dirty regions"). Kept only because the benchmark
+  /// harness still reads them; drop them with its analysis.incremental_*
+  /// metrics.
   uint64_t IncrementalHits = 0;
   uint64_t IncrementalMisses = 0;
 };

@@ -140,8 +140,6 @@ void writeJson(const std::string &Path, const BatchResult &R) {
       << ", \"fastpath_hits\": " << R.Cache.FastPathHits
       << ", \"fastpath_misses\": " << R.Cache.FastPathMisses
       << ", \"cooper_literals\": " << R.Cache.CooperLiterals
-      << ", \"incremental_hits\": " << R.Cache.IncrementalHits
-      << ", \"incremental_misses\": " << R.Cache.IncrementalMisses
       << "},\n  \"jobs\": [";
   bool First = true;
   for (const JobResult &J : R.Jobs) {
@@ -158,9 +156,7 @@ void writeJson(const std::string &Path, const BatchResult &R) {
         << ", \"solver_queries\": " << J.SolverQueries
         << ", \"simplify_decided\": " << J.SimplifyDecided
         << ", \"fastpath_hits\": " << J.FastPathHits
-        << ", \"cooper_literals\": " << J.CooperLiterals
-        << ", \"incremental_hits\": " << J.IncrementalHits
-        << ", \"incremental_misses\": " << J.IncrementalMisses;
+        << ", \"cooper_literals\": " << J.CooperLiterals;
     // Degraded jobs carry the schedule's failure alongside the reference
     // output, so report error detail for them too.
     if (!J.Ok || J.Degraded) {
@@ -214,9 +210,6 @@ void printResult(const BatchResult &R) {
               (unsigned long long)R.Cache.FastPathHits,
               (unsigned long long)R.Cache.FastPathMisses,
               (unsigned long long)R.Cache.CooperLiterals);
-  std::printf("       incremental re-analysis: %llu hits / %llu misses\n",
-              (unsigned long long)R.Cache.IncrementalHits,
-              (unsigned long long)R.Cache.IncrementalMisses);
   if (R.NumFailed || R.NumDegraded || R.NumDeadlineMiss || R.NumRetried)
     std::printf("       %u failed, %u degraded, %u deadline miss%s, "
                 "%u retried\n",

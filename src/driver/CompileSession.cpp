@@ -6,7 +6,6 @@
 
 #include "driver/CompileSession.h"
 
-#include "analysis/EffectSnapshot.h"
 #include "backend/Backend.h"
 #include "support/Deadline.h"
 
@@ -99,13 +98,6 @@ JobResult CompileSession::run(const CompileJob &Job) const {
                               : support::Deadline::never();
     support::ScopedDeadline Scope(D);
 
-    // One snapshot for the whole job (including retries): every rewrite
-    // in the schedule chain re-analyzes only its dirty region. The
-    // snapshot caches summaries, never solver verdicts, so retries under
-    // escalated budgets still re-pose their queries.
-    analysis::EffectSnapshot Snapshot;
-    analysis::ScopedEffectSnapshot SnapScope(&Snapshot);
-
     uint64_t Budget = Opts.MaxLiterals == 0 ? 1 : Opts.MaxLiterals;
     uint64_t Factor = Opts.RetryBudgetFactor < 2 ? 2 : Opts.RetryBudgetFactor;
     Error LastError(Error::Kind::None, "");
@@ -155,9 +147,6 @@ JobResult CompileSession::run(const CompileJob &Job) const {
     R.SimplifyDecided = After.SimplifyDecided - Before.SimplifyDecided;
     R.FastPathHits = After.FastPathHits - Before.FastPathHits;
     R.CooperLiterals = After.NumLiterals - Before.NumLiterals;
-    analysis::EffectSnapshotStats SS = Snapshot.stats();
-    R.IncrementalHits = SS.Hits;
-    R.IncrementalMisses = SS.Misses;
 
     if (!R.Ok && Opts.FallbackReference && Job.BuildReference) {
       // Graceful degradation: correct-but-unscheduled C beats no C. The

@@ -129,11 +129,6 @@ struct JobResult {
   uint64_t FastPathHits = 0;
   uint64_t CooperLiterals = 0;
 
-  /// Incremental re-analysis activity of the job's EffectSnapshot:
-  /// subtree summaries served from the snapshot vs (re)derived.
-  uint64_t IncrementalHits = 0;
-  uint64_t IncrementalMisses = 0;
-
   /// The job's deadline had passed by the time it finished (stamped by
   /// the session; the batch watchdog may also mark it).
   bool DeadlineMiss = false;

@@ -38,7 +38,7 @@ struct InstrInfo {
 };
 
 /// The region a scheduling rewrite replaced, recorded on the derived
-/// procedure so incremental re-analysis knows which subtrees are new.
+/// procedure so cursor forwarding knows which subtrees are new.
 /// Everything outside the region — and outside the rebuilt spine leading
 /// to it — is shared with the parent procedure by node identity.
 struct DirtyRegion {

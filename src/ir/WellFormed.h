@@ -11,7 +11,7 @@
 /// rewrites in debug builds (see deriveProc) so that a rewrite which
 /// corrupts the tree — or records a dirty region that does not resolve in
 /// the tree it claims to describe — fails at the rewrite, not three
-/// analyses later via a stale effect-snapshot entry.
+/// analyses or cursor forwardings later.
 ///
 /// Checked invariants:
 ///   - every statement node is non-null and payload-complete for its kind

@@ -31,9 +31,9 @@ ir::ProcRef deriveProc(const ir::ProcRef &Old, ir::Block NewBody,
 /// Cursor-carrying overload: the rewrite replaced the \p C selection of
 /// \p Old's body with \p NewCount statements (NewBody is the result of
 /// replaceRange at that cursor). The derived proc records the precise
-/// DirtyRegion — spine path plus replaced range — which the active
-/// EffectSnapshot uses for eager invalidation, and which debug builds
-/// validate against the tree in the well-formedness pass.
+/// DirtyRegion — spine path plus replaced range — which cursor
+/// forwarding reads to map cursors across the rewrite, and which debug
+/// builds validate against the tree in the well-formedness pass.
 ir::ProcRef deriveProc(const ir::ProcRef &Old, ir::Block NewBody,
                        const StmtCursor &C, unsigned NewCount,
                        std::set<ir::Sym> Delta = {});

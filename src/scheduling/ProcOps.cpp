@@ -7,7 +7,6 @@
 #include "scheduling/OpsCommon.h"
 
 #include "analysis/Dataflow.h"
-#include "analysis/EffectSnapshot.h"
 #include "ir/FreeVars.h"
 #include "ir/Subst.h"
 #include "ir/WellFormed.h"
@@ -27,17 +26,14 @@ thread_local const char *CurOpName = "";
 
 /// Shared tail of the deriveProc overloads: stamp the dirty region
 /// (including the name of the operator that made the edit, for cursor
-/// forwarding diagnostics), assert tree/region coherence in debug
-/// builds, and let the active effect snapshot evict what the rewrite
-/// replaced.
+/// forwarding diagnostics) and assert tree/region coherence in debug
+/// builds.
 ProcRef finishDerive(std::shared_ptr<Proc> P, DirtyRegion Dirty) {
   Dirty.Op = CurOpName;
   P->setDirtyRegion(std::move(Dirty));
 #ifndef NDEBUG
   assertWellFormed(*P);
 #endif
-  if (EffectSnapshot *Snap = activeEffectSnapshot())
-    Snap->noteDerived(*P);
   return P;
 }
 

@@ -125,19 +125,6 @@ void printReport(const FuzzReport &R) {
               (unsigned long long)S.SolverQueries,
               (unsigned long long)S.CooperLiterals,
               (unsigned long long)S.SolverBudgetUnknowns);
-  if (S.DifferentialSteps) {
-    std::printf("      differential: %u steps, %u mismatches; snapshot "
-                "%llu hits / %llu misses (%.0f%% hit rate)\n",
-                S.DifferentialSteps, S.DifferentialMismatches,
-                (unsigned long long)S.IncrementalHits,
-                (unsigned long long)S.IncrementalMisses,
-                S.IncrementalHits + S.IncrementalMisses
-                    ? 100.0 * S.IncrementalHits /
-                          (S.IncrementalHits + S.IncrementalMisses)
-                    : 0.0);
-    for (const std::string &N : R.DifferentialNotes)
-      std::printf("  MISMATCH %s\n", N.c_str());
-  }
   if (S.CursorChecks) {
     std::printf("      cursors: %u forwarded, %u invalidated (valid fate), "
                 "%u contract violations\n",
@@ -165,6 +152,8 @@ void printReport(const FuzzReport &R) {
                 (unsigned long long)S.JitCompiles,
                 (unsigned long long)S.JitCacheHits,
                 (unsigned long long)S.JitEvictions, S.BackendMismatches);
+    for (const std::string &N : R.BackendNotes)
+      std::printf("  MISMATCH %s\n", N.c_str());
   }
   for (const FuzzDivergence &D : R.Divergences) {
     std::printf("  DIVERGENCE seed %llu: %s: %s\n",
@@ -228,8 +217,6 @@ int main(int Argc, char **Argv) {
       DoUpdateGolden = true;
     } else if (A == "--inject-unsound") {
       FO.Sched.InjectUnsound = true;
-    } else if (A == "--differential") {
-      FO.Sched.Differential = true;
     } else if (A == "--cursors") {
       FO.Sched.CheckCursors = true;
     } else if (A == "--cursors-per-step") {
@@ -254,7 +241,7 @@ int main(int Argc, char **Argv) {
           "                  [--json PATH] [--repro-dir DIR]\n"
           "                  [--replay CASE.fuzz] [--emit-corpus DIR [N]]\n"
           "                  [--update-golden] [--inject-unsound]\n"
-          "                  [--differential] [--keep-files]\n"
+          "                  [--keep-files]\n"
           "                  [--cursors]               (cursor-forwarding "
           "property check per accepted step)\n"
           "                  [--cursors-per-step N]    (cursors planted per "

@@ -211,17 +211,9 @@ Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
       ++S.Schedules;
       S.StepsProposed += SR.Proposed;
       S.StepsAccepted += SR.Accepted;
-      S.DifferentialSteps += SR.DifferentialSteps;
-      S.DifferentialMismatches += SR.DifferentialMismatches;
-      S.IncrementalHits += SR.IncrementalHits;
-      S.IncrementalMisses += SR.IncrementalMisses;
       S.CursorChecks += SR.CursorChecks;
       S.CursorInvalidated += SR.CursorInvalidated;
       S.CursorMismatches += SR.CursorMismatches;
-      for (std::string &N : SR.DifferentialNotes)
-        Report.DifferentialNotes.push_back("seed " + std::to_string(Seed) +
-                                           " variant " + std::to_string(V) +
-                                           ": " + std::move(N));
       for (std::string &N : SR.CursorNotes)
         Report.CursorNotes.push_back("seed " + std::to_string(Seed) +
                                      " variant " + std::to_string(V) + ": " +
@@ -312,7 +304,7 @@ Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
           if ((*Out)[I].Status == AllOut[Lo + I].Status)
             continue;
           ++S.BackendMismatches;
-          Report.DifferentialNotes.push_back(
+          Report.BackendNotes.push_back(
               "backend mismatch: seed " +
               std::to_string(Metas[Lo + I].ProgramSeed) + " is " +
               oracleStatusName(AllOut[Lo + I].Status) + " under " +
@@ -377,20 +369,9 @@ std::string exo::testing::statsJson(const FuzzReport &R,
   OS << "  \"divergences\": " << S.Divergences << ",\n";
   OS << "  \"steps_proposed\": " << S.StepsProposed << ",\n";
   OS << "  \"steps_accepted\": " << S.StepsAccepted << ",\n";
-  OS << "  \"differential_steps\": " << S.DifferentialSteps << ",\n";
-  OS << "  \"differential_mismatches\": " << S.DifferentialMismatches
-     << ",\n";
-  OS << "  \"incremental_hits\": " << S.IncrementalHits << ",\n";
-  OS << "  \"incremental_misses\": " << S.IncrementalMisses << ",\n";
   OS << "  \"cursor_checks\": " << S.CursorChecks << ",\n";
   OS << "  \"cursor_invalidated\": " << S.CursorInvalidated << ",\n";
   OS << "  \"cursor_mismatches\": " << S.CursorMismatches << ",\n";
-  OS << "  \"incremental_hit_rate\": "
-     << (S.IncrementalHits + S.IncrementalMisses
-             ? static_cast<double>(S.IncrementalHits) /
-                   (S.IncrementalHits + S.IncrementalMisses)
-             : 0.0)
-     << ",\n";
   OS << "  \"operator_acceptance_rate\": "
      << (S.StepsProposed
              ? static_cast<double>(S.StepsAccepted) / S.StepsProposed

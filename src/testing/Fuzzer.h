@@ -67,12 +67,6 @@ struct FuzzStats {
   double WallMillis = 0;
   /// Per-operator {proposed, accepted} counts.
   std::map<std::string, std::pair<unsigned, unsigned>> OpStats;
-  /// Differential re-analysis tallies (ScheduleGenOptions::Differential):
-  /// every proposal applied full-vs-incremental, mismatches counted.
-  unsigned DifferentialSteps = 0;
-  unsigned DifferentialMismatches = 0;
-  uint64_t IncrementalHits = 0;   ///< EffectSnapshot hits across schedules
-  uint64_t IncrementalMisses = 0; ///< EffectSnapshot misses across schedules
   /// Cursor-forwarding property tallies (ScheduleGenOptions::CheckCursors):
   /// random cursors planted before each accepted step and forwarded across
   /// it; a contract violation is a mismatch, an explicit invalidation is a
@@ -106,14 +100,13 @@ struct FuzzStats {
 struct FuzzReport {
   FuzzStats Stats;
   std::vector<FuzzDivergence> Divergences;
-  /// Human-readable descriptions of full-vs-incremental mismatches.
-  std::vector<std::string> DifferentialNotes;
+  /// Human-readable descriptions of cross-backend oracle mismatches.
+  std::vector<std::string> BackendNotes;
   /// Human-readable descriptions of cursor-forwarding violations.
   std::vector<std::string> CursorNotes;
 
   bool clean() const {
     return Divergences.empty() && Stats.GenFailures == 0 &&
-           Stats.DifferentialMismatches == 0 &&
            Stats.BackendMismatches == 0 && Stats.CursorMismatches == 0;
   }
 };

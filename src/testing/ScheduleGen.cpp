@@ -6,13 +6,10 @@
 
 #include "testing/ScheduleGen.h"
 
-#include "analysis/EffectSnapshot.h"
 #include "hwlibs/avx512/Avx512Lib.h"
 #include "hwlibs/gemmini/GemminiLib.h"
 #include "ir/Builder.h"
-#include "ir/StructuralEq.h"
 #include "scheduling/Procedures.h"
-#include "smt/Solver.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
@@ -809,88 +806,6 @@ std::optional<ScheduleStep> propose(const Targets &T, Rng &R,
   }
 }
 
-/// The renaming-invariant slice of the solver profile. The two
-/// differential runs mint different fresh-variable ids (the incremental
-/// run skips stabilization probes, so it mints fewer), which legitimately
-/// perturbs NumLiterals — Cooper's variable order breaks ties by id — and,
-/// through it, the budget-overflow breakdown. The counters kept here are
-/// a function of the queries posed, not of variable numbering: NumQueries
-/// counts every query, SimplifyDecided is decided on the structure of the
-/// query, and the fast-path counters on the effect sets alone.
-struct QueryProfile {
-  uint64_t NumQueries = 0;
-  uint64_t SimplifyDecided = 0;
-  uint64_t FastPathHits = 0;
-  uint64_t FastPathMisses = 0;
-
-  static QueryProfile now() {
-    smt::Solver::Stats S = smt::solverThreadStats();
-    return {S.NumQueries, S.SimplifyDecided, S.FastPathHits,
-            S.FastPathMisses};
-  }
-  QueryProfile since(const QueryProfile &Base) const {
-    return {NumQueries - Base.NumQueries,
-            SimplifyDecided - Base.SimplifyDecided,
-            FastPathHits - Base.FastPathHits,
-            FastPathMisses - Base.FastPathMisses};
-  }
-  bool operator==(const QueryProfile &O) const {
-    return NumQueries == O.NumQueries &&
-           SimplifyDecided == O.SimplifyDecided &&
-           FastPathHits == O.FastPathHits &&
-           FastPathMisses == O.FastPathMisses;
-  }
-  std::string str() const {
-    return "queries=" + std::to_string(NumQueries) +
-           " simplify_decided=" + std::to_string(SimplifyDecided) +
-           " fastpath=" + std::to_string(FastPathHits) + "/" +
-           std::to_string(FastPathMisses);
-  }
-};
-
-/// Applies \p S once with full re-analysis and once against \p Snap,
-/// records any divergence in \p Res, and returns the incremental result
-/// (which carries the schedule chain forward).
-Expected<ProcRef> applyStepDifferential(ScheduleResult &Res,
-                                        const ScheduleStep &S,
-                                        analysis::EffectSnapshot &Snap) {
-  ++Res.DifferentialSteps;
-  auto Note = [&](const std::string &What) {
-    ++Res.DifferentialMismatches;
-    Res.DifferentialNotes.push_back("step '" + S.str() + "': " + What);
-  };
-
-  QueryProfile FullBase = QueryProfile::now();
-  Expected<ProcRef> Full = [&] {
-    analysis::ScopedEffectSnapshot Off(nullptr);
-    return applyStep(Res.Scheduled, S);
-  }();
-  QueryProfile FullDelta = QueryProfile::now().since(FullBase);
-
-  QueryProfile IncBase = QueryProfile::now();
-  Expected<ProcRef> Inc = [&] {
-    analysis::ScopedEffectSnapshot On(&Snap);
-    return applyStep(Res.Scheduled, S);
-  }();
-  QueryProfile IncDelta = QueryProfile::now().since(IncBase);
-
-  if (bool(Full) != bool(Inc)) {
-    Note(std::string("verdict differs: full ") +
-         (Full ? "accepted" : "rejected") + ", incremental " +
-         (Inc ? "accepted" : "rejected"));
-  } else if (!Full) {
-    if (Full.error().message() != Inc.error().message())
-      Note("rejection differs: full '" + Full.error().message() +
-           "' vs incremental '" + Inc.error().message() + "'");
-  } else if (!alphaEquivalent((*Full)->body(), (*Inc)->body(), {})) {
-    Note("results are not alpha-equivalent");
-  }
-  if (!(FullDelta == IncDelta))
-    Note("query profile differs: full " + FullDelta.str() +
-         " vs incremental " + IncDelta.str());
-  return Inc;
-}
-
 //===----------------------------------------------------------------------===//
 // Cursor-forwarding property check (--cursors)
 //===----------------------------------------------------------------------===//
@@ -1101,10 +1016,6 @@ ScheduleResult exo::testing::generateSchedule(const ProcRef &P, Rng &R,
   ScheduleResult Res;
   Res.Scheduled = P;
   unsigned NameCounter = 0;
-  // Schedule-lifetime snapshot for the differential mode: it persists
-  // across accepted steps, so later steps exercise the eviction logic
-  // against summaries cached from earlier shapes of the procedure.
-  analysis::EffectSnapshot Snap;
   // Where in the attempt sequence the unsound step (if any) fires.
   unsigned UnsoundAt =
       O.InjectUnsound ? unsigned(R.range(0, int64_t(O.MaxAttempts) / 2)) : ~0u;
@@ -1124,8 +1035,7 @@ ScheduleResult exo::testing::generateSchedule(const ProcRef &P, Rng &R,
     ++Res.Proposed;
     auto &Stat = Res.OpStats[S->Op];
     ++Stat.first;
-    auto Next = O.Differential ? applyStepDifferential(Res, *S, Snap)
-                               : applyStep(Res.Scheduled, *S);
+    auto Next = applyStep(Res.Scheduled, *S);
     if (!Next)
       continue; // rejection is a valid outcome
     ++Stat.second;
@@ -1135,11 +1045,6 @@ ScheduleResult exo::testing::generateSchedule(const ProcRef &P, Rng &R,
                             O.CursorsPerStep);
     Res.Scheduled = *Next;
     Res.Trace.push_back(std::move(*S));
-  }
-  if (O.Differential) {
-    analysis::EffectSnapshotStats SS = Snap.stats();
-    Res.IncrementalHits = SS.Hits;
-    Res.IncrementalMisses = SS.Misses;
   }
   return Res;
 }

@@ -143,16 +143,6 @@ struct ScheduleGenOptions {
   /// iteration of a loop, with no safety check) is injected into the
   /// proposal mix so the acceptance test can verify the oracle trips.
   bool InjectUnsound = false;
-  /// Differential re-analysis mode: every proposal is applied twice —
-  /// first with full re-analysis, then against a schedule-lifetime
-  /// analysis::EffectSnapshot — and the two runs must agree on the
-  /// accept/reject verdict, the resulting procedure (up to alpha; the
-  /// operators mint fresh symbols per application), the rejection
-  /// message, and the renaming-invariant slice of the solver-query
-  /// profile. Disagreements are counted as DifferentialMismatches; the
-  /// incremental result carries the chain forward so the oracle later
-  /// executes the incrementally-verified procedure.
-  bool Differential = false;
   /// Cursor-forwarding property check (`exocc-fuzz --cursors`): before
   /// each *accepted* proposal lands, plant CursorsPerStep random cursors
   /// — statement selections and gaps — on the pre-rewrite procedure,
@@ -173,12 +163,6 @@ struct ScheduleResult {
   unsigned Accepted = 0;
   /// Per-operator {proposed, accepted} counts for the throughput report.
   std::map<std::string, std::pair<unsigned, unsigned>> OpStats;
-  /// Differential-mode tallies (zero unless ScheduleGenOptions::Differential).
-  unsigned DifferentialSteps = 0;      ///< proposals applied in both modes
-  unsigned DifferentialMismatches = 0; ///< full vs incremental divergences
-  std::vector<std::string> DifferentialNotes; ///< one line per mismatch
-  uint64_t IncrementalHits = 0;   ///< snapshot cache hits over the schedule
-  uint64_t IncrementalMisses = 0; ///< snapshot cache misses over the schedule
   /// Cursor-forwarding tallies (zero unless ScheduleGenOptions::CheckCursors).
   unsigned CursorChecks = 0;      ///< cursors planted and forwarded
   unsigned CursorInvalidated = 0; ///< explicit invalidations (a valid fate)

@@ -48,6 +48,8 @@
 #include <thread>
 #include <vector>
 
+#include <cerrno>
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -84,7 +86,6 @@ struct SoakFlags {
   unsigned CrashEvery = 0;  ///< send {"op":"crash"} every N requests
   int64_t CallTimeoutMillis = 30000;
   int64_t ResolveTimeoutMillis = 30000;
-  std::string ServerArgsExtra; // reserved
   bool Bench = false;
   std::string BatchBin;    ///< exocc-batch for the cold side
   std::string Kernel = "fig5a_sgemm_square";
@@ -152,6 +153,34 @@ pid_t spawnServer(const SoakFlags &F, const std::string &Journal) {
   ::execv(F.ServeBin.c_str(), Argv.data());
   std::perror("execv exocc-serve");
   ::_exit(127);
+}
+
+/// Runs \p Args (Args[0] is the binary, executed directly: no shell, so
+/// paths may contain spaces) with stdout and stderr sent to /dev/null.
+/// Returns its exit code, 128 + the signal that killed it, or -1 when it
+/// could not be started or waited for.
+int runQuiet(const std::vector<std::string> &Args) {
+  std::vector<char *> Argv;
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+  pid_t Pid = ::fork();
+  if (Pid < 0)
+    return -1;
+  if (Pid == 0) {
+    int Null = ::open("/dev/null", O_WRONLY);
+    if (Null >= 0) {
+      ::dup2(Null, 1);
+      ::dup2(Null, 2);
+    }
+    ::execv(Argv[0], Argv.data());
+    ::_exit(127);
+  }
+  int Status = 0;
+  while (::waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return -1;
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : 128 + WTERMSIG(Status);
 }
 
 Expected<ClientConnection> connectWithRetry(const std::string &Path,
@@ -483,10 +512,8 @@ int runBench(const SoakFlags &F) {
   // build would invoke the compiler.
   double ColdTotal = 0;
   for (unsigned I = 0; I < F.ColdReps; ++I) {
-    std::string Cmd =
-        F.BatchBin + " " + F.Kernel + " >/dev/null 2>&1";
     int64_t T0 = nowMillis();
-    int Rc = std::system(Cmd.c_str());
+    int Rc = runQuiet({F.BatchBin, F.Kernel});
     int64_t T1 = nowMillis();
     if (Rc != 0) {
       std::fprintf(stderr, "bench: cold run failed (rc=%d)\n", Rc);
