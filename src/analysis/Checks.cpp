@@ -6,6 +6,7 @@
 
 #include "analysis/Checks.h"
 
+#include "analysis/Context.h"
 #include "smt/Simplify.h"
 
 using namespace exo;
@@ -134,6 +135,129 @@ TermRef exo::analysis::commutesCond(const EffectSets &A, const EffectSets &B) {
       triAnd(disjoint(A.wr(), B.all()), disjoint(B.wr(), A.all())),
       triAnd(disjoint(A.rplus(), B.rd()), disjoint(B.rplus(), A.rd())));
   return C.Must;
+}
+
+namespace {
+
+/// The bases a block may touch (read, write or reduce) and the subset it
+/// may modify (write or reduce).
+struct Footprint {
+  std::set<ir::Sym> Touched;
+  std::set<ir::Sym> Modified;
+};
+
+/// Walks a block the way effect extraction would, recording only the base
+/// of each location it could build.
+class FootprintWalk {
+public:
+  FootprintWalk(const FlowState &State, Footprint &F) : State(State), F(F) {}
+
+  /// \p Windows holds the window statements in scope inside the block,
+  /// already resolved to physical bases; passed by value so a branch or
+  /// loop body's bindings end with it, as in the dataflow.
+  void block(std::map<ir::Sym, ir::Sym> Windows, const ir::Block &B) {
+    for (const ir::StmtRef &S : B)
+      stmt(Windows, S);
+  }
+
+private:
+  ir::Sym baseOf(const std::map<ir::Sym, ir::Sym> &Windows,
+                 ir::Sym Name) const {
+    auto W = Windows.find(Name);
+    if (W != Windows.end())
+      return W->second;
+    auto A = State.Aliases.find(Name);
+    return A == State.Aliases.end() ? Name : A->second.Base;
+  }
+
+  void modify(const std::map<ir::Sym, ir::Sym> &Windows, ir::Sym Name) {
+    ir::Sym Base = baseOf(Windows, Name);
+    F.Touched.insert(Base);
+    F.Modified.insert(Base);
+  }
+
+  /// Heap reads, as collectReads (Effects.cpp) records them: data-typed
+  /// reads, nothing for a stride, only the coordinates of a window.
+  /// Configuration reads are collected separately.
+  void reads(const std::map<ir::Sym, ir::Sym> &Windows, const ir::ExprRef &E) {
+    if (!E)
+      return;
+    if (E->kind() == ir::ExprKind::Read && E->type().isData())
+      F.Touched.insert(baseOf(Windows, E->name()));
+    for (const ir::ExprRef &C : ir::childExprs(E))
+      reads(Windows, C);
+  }
+
+  void stmt(std::map<ir::Sym, ir::Sym> &Windows, const ir::StmtRef &S) {
+    switch (S->kind()) {
+    case ir::StmtKind::Pass:
+    case ir::StmtKind::Alloc:
+      return;
+    case ir::StmtKind::Assign:
+    case ir::StmtKind::Reduce:
+      for (const ir::ExprRef &I : S->indices())
+        reads(Windows, I);
+      reads(Windows, S->rhs());
+      modify(Windows, S->name());
+      return;
+    case ir::StmtKind::WriteConfig:
+      reads(Windows, S->rhs());
+      return;
+    case ir::StmtKind::WindowStmt:
+      reads(Windows, S->rhs());
+      Windows[S->name()] = baseOf(Windows, S->rhs()->name());
+      return;
+    case ir::StmtKind::If:
+      reads(Windows, S->rhs());
+      block(Windows, S->body());
+      block(Windows, S->orelse());
+      return;
+    case ir::StmtKind::For:
+      reads(Windows, S->lo());
+      reads(Windows, S->hi());
+      block(Windows, S->body());
+      return;
+    case ir::StmtKind::Call:
+      // The callee body can only reach the caller's heap through its data
+      // formals; count each one bound to a buffer as written.
+      for (const ir::ExprRef &A : S->args()) {
+        reads(Windows, A);
+        if (A->type().isData() && (A->kind() == ir::ExprKind::Read ||
+                                   A->kind() == ir::ExprKind::WindowExpr))
+          modify(Windows, A->name());
+      }
+      return;
+    }
+  }
+
+  const FlowState &State;
+  Footprint &F;
+};
+
+Footprint footprintOf(const FlowState &State, const ir::Block &B) {
+  Footprint F;
+  FootprintWalk(State, F).block({}, B);
+  std::set<ir::Sym> CfgWrites;
+  collectConfigReads(B, F.Touched);
+  collectConfigWrites(B, CfgWrites);
+  F.Touched.insert(CfgWrites.begin(), CfgWrites.end());
+  F.Modified.insert(CfgWrites.begin(), CfgWrites.end());
+  return F;
+}
+
+bool meets(const std::set<ir::Sym> &X, const std::set<ir::Sym> &Y) {
+  for (const ir::Sym &S : X)
+    if (Y.count(S))
+      return true;
+  return false;
+}
+
+} // namespace
+
+bool exo::analysis::footprintsCommute(const FlowState &State,
+                                      const ir::Block &A, const ir::Block &B) {
+  Footprint FA = footprintOf(State, A), FB = footprintOf(State, B);
+  return !meets(FA.Modified, FB.Touched) && !meets(FB.Modified, FA.Touched);
 }
 
 TermRef exo::analysis::shadowsCond(const EffectSets &A, const EffectSets &B) {

@@ -43,6 +43,16 @@ bool disjointFastPath(const LocSetRef &A, const LocSetRef &B);
 /// D(Commutes a1 a2) as a classical formula (Def 5.6).
 smt::TermRef commutesCond(const EffectSets &A, const EffectSets &B);
 
+/// Syntactic pre-check for Commutes over the *bases* of both sides (DESIGN.md,
+/// "Footprint pre-check"): heap buffers resolved through \p State's window
+/// aliases and the blocks' own window statements, plus configuration
+/// fields, looking through callee bodies. Returns true only when no base
+/// that one block may write or reduce is read, written or reduced by the
+/// other; D(Commutes) of their extracted effects is then valid. False means
+/// "extract the effects and ask the solver", never "they do not commute".
+bool footprintsCommute(const FlowState &State, const ir::Block &A,
+                       const ir::Block &B);
+
 /// D(Shadows a1 a2) as a classical formula (Def 5.7). Conservative
 /// extension: locations modified by a1 must not be reduced by a2 either
 /// (a reduction reads its destination).

@@ -327,25 +327,27 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
     return *E;
 
   // Flipped pairs: s2 at iteration x2 now precedes s1 at x1 for x2 < x1.
-  smt::TermRef X1 = smt::mkVar(smt::freshVar("x1", smt::Sort::Int));
-  smt::TermRef X2 = smt::mkVar(smt::freshVar("x2", smt::Sort::Int));
-  FlowState SA = Info.Pre;
-  SA.Env[L1->name()] = EffInt::known(X1);
-  EffectSets A1 = extractBlock(Ctx, SA, L1->body());
-  FlowState SB = Info.Pre;
-  SB.Env[L2->name()] = EffInt::known(X2);
-  EffectSets A2 = extractBlock(Ctx, SB, L2->body());
+  if (!footprintsCommute(Info.Pre, L1->body(), L2->body())) {
+    smt::TermRef X1 = smt::mkVar(smt::freshVar("x1", smt::Sort::Int));
+    smt::TermRef X2 = smt::mkVar(smt::freshVar("x2", smt::Sort::Int));
+    FlowState SA = Info.Pre;
+    SA.Env[L1->name()] = EffInt::known(X1);
+    EffectSets A1 = extractBlock(Ctx, SA, L1->body());
+    FlowState SB = Info.Pre;
+    SB.Env[L2->name()] = EffInt::known(X2);
+    EffectSets A2 = extractBlock(Ctx, SB, L2->body());
 
-  TriBool Premise = Info.PathCond;
-  Premise = triAnd(Premise,
-                   loopBoundsPremise(Ctx, Info.Pre, L1->lo(), L1->hi(), X1));
-  Premise = triAnd(Premise,
-                   loopBoundsPremise(Ctx, Info.Pre, L2->lo(), L2->hi(), X2));
-  Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
-  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), LoopPat,
-                           "for " + L1->name().name() + " in _: _",
-                           "fuse_loop: moved iterations do not commute"))
-    return *E;
+    TriBool Premise = Info.PathCond;
+    Premise = triAnd(Premise, loopBoundsPremise(Ctx, Info.Pre, L1->lo(),
+                                                L1->hi(), X1));
+    Premise = triAnd(Premise, loopBoundsPremise(Ctx, Info.Pre, L2->lo(),
+                                                L2->hi(), X2));
+    Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
+    if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), LoopPat,
+                             "for " + L1->name().name() + " in _: _",
+                             "fuse_loop: moved iterations do not commute"))
+      return *E;
+  }
 
   SymSubst Map;
   Map[L2->name()] =
