@@ -52,10 +52,9 @@ void BM_ParseGemm(benchmark::State &State) {
 BENCHMARK(BM_ParseGemm);
 
 void BM_SplitLoop(benchmark::State &State) {
-  ProcRef P = gemm();
+  Cursor I = *Cursor::find(gemm(), "for i in _: _");
   for (auto _ : State) {
-    auto Q = splitLoop(P, "for i in _: _", 16, "io", "ii",
-                       SplitTail::Guard);
+    auto Q = splitLoop(I, 16, "io", "ii", SplitTail::Guard);
     benchmark::DoNotOptimize(Q);
   }
 }
@@ -63,10 +62,9 @@ BENCHMARK(BM_SplitLoop);
 
 void BM_SplitLoopPerfect(benchmark::State &State) {
   // Includes the divisibility proof.
-  ProcRef P = gemm();
+  Cursor I = *Cursor::find(gemm(), "for i in _: _");
   for (auto _ : State) {
-    auto Q = splitLoop(P, "for i in _: _", 16, "io", "ii",
-                       SplitTail::Perfect);
+    auto Q = splitLoop(I, 16, "io", "ii", SplitTail::Perfect);
     benchmark::DoNotOptimize(Q);
   }
 }
@@ -75,25 +73,25 @@ BENCHMARK(BM_SplitLoopPerfect);
 void BM_ReorderLoops(benchmark::State &State) {
   // Includes the full commutativity check (two effect extractions plus
   // an SMT validity query over the flipped iteration pairs).
-  ProcRef P = gemm();
+  Cursor J = *Cursor::find(gemm(), "for j in _: _");
   for (auto _ : State) {
-    auto Q = reorderLoops(P, "for j in _: _");
+    auto Q = reorderLoops(J);
     benchmark::DoNotOptimize(Q);
   }
 }
 BENCHMARK(BM_ReorderLoops);
 
 void BM_StageMem(benchmark::State &State) {
-  static ProcRef Tiled = [] {
-    ProcRef Q = *splitLoop(gemm(), "for i in _: _", 16, "io", "ii",
-                           SplitTail::Perfect);
-    return *splitLoop(Q, "for k in _: _", 16, "ko", "ki",
-                      SplitTail::Perfect);
+  static Cursor Ki = [] {
+    ProcRef Tiled = *Schedule(gemm())
+                         .split("i", 16, "io", "ii", SplitTail::Perfect)
+                         .split("k", 16, "ko", "ki", SplitTail::Perfect)
+                         .proc();
+    return *Cursor::find(Tiled, "for ki in _: _");
   }();
   for (auto _ : State) {
-    auto Q = stageMem(Tiled, "for ki in _: _", 1,
-                      "A[16 * io : 16 * io + 16, 16 * ko : 16 * ko + 16]",
-                      "a_tile");
+    auto Q = stageMem(
+        Ki, "A[16 * io : 16 * io + 16, 16 * ko : 16 * ko + 16]", "a_tile");
     benchmark::DoNotOptimize(Q);
   }
 }

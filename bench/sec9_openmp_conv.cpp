@@ -120,8 +120,9 @@ def omp_parallel_for():
     Clone->setProvenance(Par, {});
     Par = Clone;
   }
-  auto Replaced =
-      replaceWith(Par, "pass", 1, Env.findProc("omp_parallel_for"));
+  auto Replaced = Schedule(Par)
+                      .replaceWith("pass", 1, Env.findProc("omp_parallel_for"))
+                      .proc();
   if (!Replaced) {
     std::fprintf(stderr, "%s\n", Replaced.error().str().c_str());
     return 1;

@@ -76,8 +76,15 @@ def loads(A: R[128, 128], buf: R[16, 16]):
   }
   show("start: configuration written inside the loop", *App);
 
+  // Each step resolves its target with Cursor::find, the one place a
+  // pattern string becomes a cursor, and hands the cursor to the
+  // operator.
+  auto at = [](const ProcRef &P, const char *Pattern) {
+    return Cursor::find(P, Pattern).take(Pattern);
+  };
+
   // Step 1: the config write becomes the config instruction.
-  ProcRef S1 = replaceWith(*App, "ConfigLoad.src_stride = _", 1, ConfigLd)
+  ProcRef S1 = replaceWith(at(*App, "ConfigLoad.src_stride = _"), ConfigLd)
                    .take("replace config write");
   show("step 1: replace() selects the config instruction", S1);
 
@@ -85,17 +92,17 @@ def loads(A: R[128, 128], buf: R[16, 16]):
   // precondition (the configured stride matches the source) is proven
   // through the symbolic dataflow of the preceding config call.
   ProcRef S2 =
-      replaceWith(S1, "for i in _: _", 1, RealLd).take("replace load");
+      replaceWith(at(S1, "for i in _: _"), RealLd).take("replace load");
   show("step 2: replace() selects mvin (precondition discharged)", S2);
 
   // Step 3: split the loop after the config call (fission_after checks
   // that the two halves commute across iterations).
-  ProcRef S3 = fissionAfter(S2, "config_ld_def(_)").take("fission");
+  ProcRef S3 = fissionAfter(at(S2, "config_ld_def(_)")).take("fission");
   show("step 3: fission_after isolates the config call", S3);
 
   // Step 4: the config loop is idempotent (Shadows(a, a)) and runs at
   // least once, so remove_loop deletes it.
-  ProcRef S4 = removeLoop(S3, "for ko in _: _").take("remove_loop");
+  ProcRef S4 = removeLoop(at(S3, "for ko in _: _")).take("remove_loop");
   show("step 4: remove_loop hoists the config to the top", S4);
 
   std::printf("The accelerator pipeline now flushes once instead of 8 "

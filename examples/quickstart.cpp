@@ -48,8 +48,9 @@ def gemm(A: f32[64, 64], B: f32[64, 64], C: f32[64, 64]):
   //    code. A Cursor is a stable handle into the tree — resolve it
   //    once, then rewrite through it; named procedures like tile2D
   //    compose the primitives (split/split/reorder*3/simplify here).
-  //    (The string-pattern free functions and the fluent Schedule
-  //    facade remain available — all three spellings are public API.)
+  //    Cursor::find is the one place a pattern string becomes a cursor;
+  //    the fluent Schedule facade calls it for you (Schedule(Gemm)
+  //    .tile2d("i", 8, 8, ...) is the same rewrite).
   Cursor I = Cursor::find(Gemm, "for i in _: _").take("find i");
   ProcRef Tiled =
       tile2D(I, 8, 8, "io", "ii", "jo", "ji").take("tiling schedule");

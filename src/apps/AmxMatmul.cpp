@@ -7,7 +7,7 @@
 #include "apps/AmxMatmul.h"
 
 #include "hwlibs/amx/AmxLib.h"
-#include "scheduling/Procedures.h"
+#include "scheduling/Schedule.h"
 
 using namespace exo;
 using namespace exo::apps;
@@ -61,22 +61,12 @@ Expected<AmxMatmulKernels> exo::apps::buildAmxMatmul(int64_t N, int64_t M,
   //     reduction first, then tile2D handles i/j and sinks ii/ji below
   //     ko (loop order io ii jo ji ko ki -> io jo ko ii ji ki). ---
   Sch.split("k", 16, "ko", "ki", SplitTail::Perfect)
-      .apply(
-          [&](const ProcRef &P) {
-            return tile2D(P, "i", 16, 16, "io", "ii", "jo", "ji",
-                          SplitTail::Perfect);
-          },
-          "tile2d")
+      .tile2d("i", 16, 16, "io", "ii", "jo", "ji", SplitTail::Perfect)
       // --- Stage the A row panel once per io strip (reused across all jo
       //     tiles), its copy shaped into 16-wide tileload chunks. ---
-      .apply(
-          [&](const ProcRef &P) {
-            return stageAndVectorize(P, "for jo in _: _",
-                                     "A[16 * io : 16 * io + 16, 0 : " +
-                                         std::to_string(K) + "]",
-                                     "a_panel", "AMX_TILE", 16, "lv", "ll");
-          },
-          "stage_and_vectorize")
+      .stageVec("for jo in _: _",
+                "A[16 * io : 16 * io + 16, 0 : " + std::to_string(K) + "]",
+                "a_panel", "AMX_TILE", 16, "lv", "ll")
       // Bring the row loop of the panel copy innermost.
       .reorder("i0")
       .configWriteAt("for lv in _: _", HW.CfgLdA, "src_stride",

@@ -7,7 +7,7 @@
 #include "apps/GemminiMatmul.h"
 
 #include "hwlibs/gemmini/GemminiLib.h"
-#include "scheduling/Procedures.h"
+#include "scheduling/Schedule.h"
 
 using namespace exo;
 using namespace exo::apps;
@@ -61,24 +61,13 @@ exo::apps::buildGemminiMatmul(int64_t N, int64_t M, int64_t K) {
   //     reduction first, then tile2D handles i/j and sinks ii/ji below
   //     ko (loop order io ii jo ji ko ki -> io jo ko ii ji ki). ---
   Sch.split("k", 16, "ko", "ki", SplitTail::Perfect)
-      .apply(
-          [&](const ProcRef &P) {
-            return tile2D(P, "i", 16, 16, "io", "ii", "jo", "ji",
-                          SplitTail::Perfect);
-          },
-          "tile2d")
+      .tile2d("i", 16, 16, "io", "ii", "jo", "ji", SplitTail::Perfect)
       // --- Stage the A row panel once per io strip (reused across all jo
       //     tiles — the data reuse that makes the kernel compute-bound),
       //     its copy shaped into 16-wide mvin chunks. ---
-      .apply(
-          [&](const ProcRef &P) {
-            return stageAndVectorize(P, "for jo in _: _",
-                                     "A[16 * io : 16 * io + 16, 0 : " +
-                                         std::to_string(K) + "]",
-                                     "a_panel", "GEMM_SCRATCH", 16, "lv",
-                                     "ll");
-          },
-          "stage_and_vectorize")
+      .stageVec("for jo in _: _",
+                "A[16 * io : 16 * io + 16, 0 : " + std::to_string(K) + "]",
+                "a_panel", "GEMM_SCRATCH", 16, "lv", "ll")
       // Bring the row loop of the panel copy innermost.
       .reorder("i0")
       .configWriteAt("for lv in _: _", HW.CfgLd1, "src_stride",

@@ -7,7 +7,7 @@
 #include "apps/Sgemm.h"
 
 #include "hwlibs/avx512/Avx512Lib.h"
-#include "scheduling/Procedures.h"
+#include "scheduling/Schedule.h"
 
 using namespace exo;
 using namespace exo::apps;
@@ -63,12 +63,8 @@ Expected<SgemmKernels> exo::apps::buildSgemm(int64_t M, int64_t N, int64_t K,
   Schedule S(*Alg);
   // --- Register blocking: RowTile x ColTile of C per micro-kernel
   //     (tile2D = split i; split j; sink ii/ji below k). ---
-  S.apply(
-       [&](const ProcRef &P) {
-         return tile2D(P, "i", RowTile, ColTile, "io", "ii", "jo", "ji",
-                       SplitTail::Perfect);
-       },
-       "tile2d")
+  S.tile2d("i", RowTile, ColTile, "io", "ii", "jo", "ji",
+           SplitTail::Perfect)
       // --- Keep the C tile in vector registers across the K loop. ---
       .stage("for k in _: _", 1,
              "C[" + RT + " * io : " + RT + " * io + " + RT + ", " + CT +
@@ -76,14 +72,9 @@ Expected<SgemmKernels> exo::apps::buildSgemm(int64_t M, int64_t N, int64_t K,
              "acc", "AVX512")
       // --- Stage the current B row slice in registers, its copy-in
       //     loop pre-split into 16-lane chunks. ---
-      .apply(
-          [&](const ProcRef &P) {
-            return stageAndVectorize(P, "for ii in _: _",
-                                     "B[k, " + CT + " * jo : " + CT +
-                                         " * jo + " + CT + "]",
-                                     "bvec", "AVX512", 16, "lv", "ll");
-          },
-          "stage_and_vectorize")
+      .stageVec("for ii in _: _",
+                "B[k, " + CT + " * jo : " + CT + " * jo + " + CT + "]", "bvec",
+                "AVX512", 16, "lv", "ll")
       // --- Vector shape: split the remaining lane loops by 16. ---
       // acc zero-init (i0, i1): split the 64-wide inner loop.
       .split("i1 #0", 16, "zv", "zl", SplitTail::Perfect)

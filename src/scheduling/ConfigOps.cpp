@@ -74,15 +74,15 @@ struct ConfigInsertion {
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::configWriteAt(const ProcRef &P,
-                                                 const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::configWriteAt(const Cursor &Stmt,
                                                  const ConfigRef &Cfg,
                                                  const std::string &Field,
                                                  const std::string &ValueSrc) {
   ScopedOpName OpName(ops::ConfigWrite);
-  auto C = findStmts(*P, StmtPat);
+  auto C = selection(Stmt);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmt.proc();
   OpContext Op(P, *C);
   StmtRef S = Op.stmt();
   std::set<Sym> SelfReads;
@@ -112,16 +112,15 @@ Expected<ProcRef> exo::scheduling::configWriteRoot(const ProcRef &P,
                    {Ins.FieldSym});
 }
 
-Expected<ProcRef> exo::scheduling::bindConfig(const ProcRef &P,
-                                              const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::bindConfig(const Cursor &Stmt,
                                               const std::string &ExprPat,
                                               const ConfigRef &Cfg,
                                               const std::string &Field) {
   ScopedOpName OpName(ops::BindConfig);
-  auto C = findStmts(*P, StmtPat);
+  auto C = selection(Stmt);
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(Stmt.proc(), *C);
   StmtRef S = Op.stmt();
   const ConfigDecl::Field *F = Cfg->findField(Field);
   if (!F)

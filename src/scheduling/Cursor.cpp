@@ -172,12 +172,6 @@ Expected<Cursor> Cursor::forwardTo(const ProcRef &Target) const {
   return Cursor(Target, std::move(R.Cur));
 }
 
-Expected<std::string> Cursor::pattern() const {
-  if (null())
-    return nullCursorError();
-  return patternFor(*Anchor, Cur);
-}
-
 std::string Cursor::str() const {
   if (null())
     return "<null cursor>";
@@ -190,192 +184,4 @@ std::string Cursor::str() const {
   }
   Out += "] " + std::to_string(Cur.Begin) + ":" + std::to_string(Cur.End);
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Cursor-taking operator overloads
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Shared preamble: resolve the cursor's unique pattern, then run the
-/// string-pattern primitive against the anchor procedure.
-template <typename Fn>
-Expected<ProcRef> withPattern(const Cursor &C, Fn &&F) {
-  if (C.null())
-    return nullCursorError();
-  auto Pat = C.pattern();
-  if (!Pat)
-    return Pat.error();
-  return F(C.proc(), *Pat);
-}
-
-} // namespace
-
-Expected<ProcRef> exo::scheduling::splitLoop(const Cursor &Loop,
-                                             int64_t Factor,
-                                             const std::string &OuterName,
-                                             const std::string &InnerName,
-                                             SplitTail Tail) {
-  return withPattern(Loop, [&](const ProcRef &P, const std::string &Pat) {
-    return splitLoop(P, Pat, Factor, OuterName, InnerName, Tail);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::reorderLoops(const Cursor &Loop) {
-  return withPattern(Loop, [&](const ProcRef &P, const std::string &Pat) {
-    return reorderLoops(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::unrollLoop(const Cursor &Loop) {
-  return withPattern(Loop, [&](const ProcRef &P, const std::string &Pat) {
-    return unrollLoop(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::partitionLoop(const Cursor &Loop,
-                                                 int64_t Cut) {
-  return withPattern(Loop, [&](const ProcRef &P, const std::string &Pat) {
-    return partitionLoop(P, Pat, Cut);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::removeLoop(const Cursor &Loop) {
-  return withPattern(Loop, [&](const ProcRef &P, const std::string &Pat) {
-    return removeLoop(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::fuseLoops(const Cursor &Loop) {
-  return withPattern(Loop, [&](const ProcRef &P, const std::string &Pat) {
-    return fuseLoops(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::liftIf(const Cursor &If) {
-  return withPattern(If, [&](const ProcRef &P, const std::string &Pat) {
-    return liftIf(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::reorderStmts(const Cursor &First) {
-  return withPattern(First, [&](const ProcRef &P, const std::string &Pat) {
-    return reorderStmts(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::moveStmtUp(const Cursor &Stmt) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return moveStmtUp(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::hoistStmtToTop(const Cursor &Stmt) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return hoistStmtToTop(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::fissionAfter(const Cursor &Stmt) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return fissionAfter(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::liftAlloc(const Cursor &Alloc,
-                                             unsigned Levels) {
-  return withPattern(Alloc, [&](const ProcRef &P, const std::string &Pat) {
-    return liftAlloc(P, Pat, Levels);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::bindExpr(const Cursor &Stmt,
-                                            const std::string &ExprPat,
-                                            const std::string &NewName) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return bindExpr(P, Pat, ExprPat, NewName);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::addGuard(const Cursor &Stmt,
-                                            const std::string &CondSrc) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return addGuard(P, Pat, CondSrc);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::configWriteAt(const Cursor &Stmt,
-                                                 const ConfigRef &Cfg,
-                                                 const std::string &Field,
-                                                 const std::string &ValueSrc) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return configWriteAt(P, Pat, Cfg, Field, ValueSrc);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::bindConfig(const Cursor &Stmt,
-                                              const std::string &ExprPat,
-                                              const ConfigRef &Cfg,
-                                              const std::string &Field) {
-  return withPattern(Stmt, [&](const ProcRef &P, const std::string &Pat) {
-    return bindConfig(P, Pat, ExprPat, Cfg, Field);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::stageMem(const Cursor &Stmts,
-                                            const std::string &WindowSrc,
-                                            const std::string &NewName,
-                                            const std::string &Mem) {
-  unsigned Count = Stmts.count();
-  return withPattern(Stmts, [&](const ProcRef &P, const std::string &Pat) {
-    return stageMem(P, Pat, Count, WindowSrc, NewName, Mem);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::setMemory(const Cursor &Alloc,
-                                             const std::string &Mem) {
-  if (Alloc.null())
-    return nullCursorError();
-  auto S = Alloc.stmt();
-  if (!S)
-    return S.error();
-  if ((*S)->kind() != StmtKind::Alloc)
-    return makeError(Error::Kind::Scheduling,
-                     "set_memory: cursor does not select an allocation");
-  return setMemory(Alloc.proc(), (*S)->name().name(), Mem);
-}
-
-Expected<ProcRef> exo::scheduling::setPrecision(const Cursor &Alloc,
-                                                ScalarKind Precision) {
-  if (Alloc.null())
-    return nullCursorError();
-  auto S = Alloc.stmt();
-  if (!S)
-    return S.error();
-  if ((*S)->kind() != StmtKind::Alloc)
-    return makeError(Error::Kind::Scheduling,
-                     "set_precision: cursor does not select an allocation");
-  return setPrecision(Alloc.proc(), (*S)->name().name(), Precision);
-}
-
-Expected<ProcRef> exo::scheduling::inlineCall(const Cursor &Call) {
-  return withPattern(Call, [&](const ProcRef &P, const std::string &Pat) {
-    return inlineCall(P, Pat);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::callEqv(const Cursor &Call,
-                                           const ProcRef &NewCallee) {
-  return withPattern(Call, [&](const ProcRef &P, const std::string &Pat) {
-    return callEqv(P, Pat, NewCallee);
-  });
-}
-
-Expected<ProcRef> exo::scheduling::replaceWith(const Cursor &Stmts,
-                                               const ProcRef &Target) {
-  unsigned Count = Stmts.count();
-  return withPattern(Stmts, [&](const ProcRef &P, const std::string &Pat) {
-    return replaceWith(P, Pat, Count, Target);
-  });
 }

@@ -15,14 +15,14 @@
 /// the cursor in the derived procedure or fails with a structured
 /// ScheduleErrorInfo naming the operator that consumed it.
 ///
-/// Every primitive scheduling operator has a cursor-taking overload
-/// below. The overloads synthesize the unique pattern that re-finds the
-/// cursor's selection (`pattern()`) and call the string-pattern
-/// primitive, so a cursor-addressed rewrite is *identical* — fresh-name
-/// minting and all — to its pattern-addressed spelling. The win is
-/// addressing: a cursor obtained by navigation can point at code no
-/// unambiguous pattern string exists for (e.g. one of two same-named
-/// loops at different nesting depths).
+/// A cursor is the one way a scheduling operator is told where to act:
+/// every primitive (Schedule.h) and every composite (Procedures.h) takes
+/// a `const Cursor &`, and the rewrite happens in the cursor's anchor
+/// procedure. `Cursor::find` is the only place a pattern string (§3.3)
+/// becomes a cursor; the Schedule facade, the trace interpreter and
+/// hand-written code all go through it. A cursor obtained by navigation
+/// can point at code no unambiguous pattern string exists for (e.g. one
+/// of two same-named loops at different nesting depths).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,24 +30,28 @@
 #define EXO_SCHEDULING_CURSOR_H
 
 #include "scheduling/Forward.h"
-#include "scheduling/Schedule.h"
+#include "scheduling/Pattern.h"
 
 namespace exo {
 namespace scheduling {
+
+using ir::ProcRef;
 
 class Cursor {
 public:
   /// A null cursor; every accessor fails until one is resolved.
   Cursor() = default;
 
-  /// Resolves a cursor from a pattern string: the usual entry point.
-  /// The selection covers [match, match + Count) statements.
+  /// Resolves a cursor from a pattern string (Pattern.h) — the one place
+  /// a pattern becomes a cursor. The selection covers
+  /// [match, match + Count) statements.
   static Expected<Cursor> find(const ProcRef &P, const std::string &Pattern,
                                unsigned Count = 1);
   /// The whole procedure body, [0, size).
   static Cursor whole(const ProcRef &P);
   /// Wraps an already-resolved low-level cursor (used by the fuzz
-  /// property layer, which enumerates positions directly).
+  /// property layer, which enumerates positions directly, and by
+  /// composites that know where a step put their statement).
   static Cursor fromStmtCursor(const ProcRef &P, StmtCursor C);
 
   bool null() const { return !Anchor; }
@@ -95,11 +99,6 @@ public:
   /// invalidated) instead of folding it into an Error.
   ForwardResult forwardResult(const ProcRef &Target) const;
 
-  /// The unique pattern string that re-finds this selection (see
-  /// patternFor); how the operator overloads below reuse the
-  /// pattern-based primitives. Errors on gap cursors.
-  Expected<std::string> pattern() const;
-
   /// Diagnostic rendering: "gemmini_matmul@[2.body, 0.body] 1:3".
   std::string str() const;
 
@@ -109,47 +108,6 @@ private:
   ProcRef Anchor;
   StmtCursor Cur;
 };
-
-//===----------------------------------------------------------------------===//
-// Cursor-taking overloads of every primitive operator. Each resolves the
-// cursor to its unique pattern and applies the string-pattern primitive
-// to the cursor's anchor procedure — byte-identical rewrites, stable
-// addressing. Selection-width operators (stageMem, replaceWith) take the
-// count from the cursor itself.
-//===----------------------------------------------------------------------===//
-
-Expected<ProcRef> splitLoop(const Cursor &Loop, int64_t Factor,
-                            const std::string &OuterName,
-                            const std::string &InnerName,
-                            SplitTail Tail = SplitTail::Guard);
-Expected<ProcRef> reorderLoops(const Cursor &Loop);
-Expected<ProcRef> unrollLoop(const Cursor &Loop);
-Expected<ProcRef> partitionLoop(const Cursor &Loop, int64_t Cut);
-Expected<ProcRef> removeLoop(const Cursor &Loop);
-Expected<ProcRef> fuseLoops(const Cursor &Loop);
-Expected<ProcRef> liftIf(const Cursor &If);
-Expected<ProcRef> reorderStmts(const Cursor &First);
-Expected<ProcRef> moveStmtUp(const Cursor &Stmt);
-Expected<ProcRef> hoistStmtToTop(const Cursor &Stmt);
-Expected<ProcRef> fissionAfter(const Cursor &Stmt);
-Expected<ProcRef> liftAlloc(const Cursor &Alloc, unsigned Levels = 1);
-Expected<ProcRef> bindExpr(const Cursor &Stmt, const std::string &ExprPat,
-                           const std::string &NewName);
-Expected<ProcRef> addGuard(const Cursor &Stmt, const std::string &CondSrc);
-Expected<ProcRef> configWriteAt(const Cursor &Stmt, const ir::ConfigRef &Cfg,
-                                const std::string &Field,
-                                const std::string &ValueSrc);
-Expected<ProcRef> bindConfig(const Cursor &Stmt, const std::string &ExprPat,
-                             const ir::ConfigRef &Cfg,
-                             const std::string &Field);
-Expected<ProcRef> stageMem(const Cursor &Stmts, const std::string &WindowSrc,
-                           const std::string &NewName,
-                           const std::string &Mem = "DRAM");
-Expected<ProcRef> setMemory(const Cursor &Alloc, const std::string &Mem);
-Expected<ProcRef> setPrecision(const Cursor &Alloc, ir::ScalarKind Precision);
-Expected<ProcRef> inlineCall(const Cursor &Call);
-Expected<ProcRef> callEqv(const Cursor &Call, const ProcRef &NewCallee);
-Expected<ProcRef> replaceWith(const Cursor &Stmts, const ProcRef &Target);
 
 } // namespace scheduling
 } // namespace exo

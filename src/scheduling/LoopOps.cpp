@@ -31,8 +31,7 @@ TriBool loopBoundsPremise(AnalysisCtx &Ctx, const FlowState &State,
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
-                                             const std::string &LoopPat,
+Expected<ProcRef> exo::scheduling::splitLoop(const Cursor &Target,
                                              int64_t Factor,
                                              const std::string &OuterName,
                                              const std::string &InnerName,
@@ -40,9 +39,10 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
   ScopedOpName OpName(ops::Split);
   if (Factor <= 1)
     return makeError(Error::Kind::Scheduling, "split factor must be > 1");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   OpContext Op(P, *C);
   StmtRef Loop = Op.stmt();
   if (Loop->lo()->kind() != ExprKind::Const || Loop->lo()->intValue() != 0)
@@ -82,7 +82,7 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
     smt::TermRef Divides =
         smt::mkAnd(HiV.Def, smt::eq(smt::mod(HiV.Val, Factor),
                                     smt::intConst(0)));
-    if (auto E = checkProved(Op.Ctx, Info.PathCond, Divides, LoopPat,
+    if (auto E = checkProved(Op.Ctx, Info.PathCond, Divides,
                              "for " + Loop->name().name() + " in _: _",
                              "split(perfect): cannot prove " +
                                  std::to_string(Factor) + " divides " +
@@ -118,12 +118,12 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
   return Op.derive(Replacement);
 }
 
-Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
-                                                const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::reorderLoops(const Cursor &Target) {
   ScopedOpName OpName(ops::Reorder);
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   OpContext Op(P, *C);
   StmtRef OuterLoop = Op.stmt();
   if (OuterLoop->body().size() != 1 ||
@@ -169,7 +169,7 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
   // Flipped pairs: x1 < x2 but y2 < y1.
   Premise = triAnd(Premise, TriBool::certain(smt::mkAnd(
                                 smt::lt(X1, X2), smt::lt(Y2, Y1))));
-  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), LoopPat,
+  if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2),
                            "for " + OuterLoop->name().name() + " in _: for " +
                                InnerLoop->name().name() + " in _: _",
                            "reorder: loop iterations do not commute"))
@@ -182,7 +182,6 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
       seqEffects(extractExprReads(Ctx, Info.Pre, InnerLoop->lo()),
                  extractExprReads(Ctx, Info.Pre, InnerLoop->hi()));
   if (auto E = checkProved(Ctx, Info.PathCond, commutesCond(BoundReads, A1),
-                           LoopPat,
                            "for " + InnerLoop->name().name() + " in _: _",
                            "reorder: inner bounds conflict with the body"))
     return *E;
@@ -194,12 +193,12 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
   return Op.derive({NewOuter});
 }
 
-Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
-                                              const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::unrollLoop(const Cursor &Target) {
   ScopedOpName OpName(ops::Unroll);
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   OpContext Op(P, *C);
   StmtRef Loop = Op.stmt();
   ExprRef Lo = simplifyExpr(Loop->lo());
@@ -224,13 +223,13 @@ Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
   return Op.derive(Replacement);
 }
 
-Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
-                                                 const std::string &LoopPat,
+Expected<ProcRef> exo::scheduling::partitionLoop(const Cursor &Target,
                                                  int64_t Cut) {
   ScopedOpName OpName(ops::Partition);
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   OpContext Op(P, *C);
   StmtRef Loop = Op.stmt();
 
@@ -240,7 +239,7 @@ Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
   smt::TermRef Fits = smt::mkAnd(
       smt::mkAnd(LoV.Def, HiV.Def),
       smt::le(smt::add(LoV.Val, smt::intConst(Cut)), HiV.Val));
-  if (auto E = checkProved(Op.Ctx, Info.PathCond, Fits, LoopPat,
+  if (auto E = checkProved(Op.Ctx, Info.PathCond, Fits,
                            "for " + Loop->name().name() + " in _: _",
                            "partition_loop: cannot prove lo + " +
                                std::to_string(Cut) + " <= hi"))
@@ -258,12 +257,12 @@ Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
   return Op.derive({L1, L2});
 }
 
-Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
-                                              const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::removeLoop(const Cursor &Target) {
   ScopedOpName OpName(ops::Remove);
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   OpContext Op(P, *C);
   StmtRef Loop = Op.stmt();
   if (freeVars(Loop->body()).count(Loop->name()))
@@ -278,7 +277,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   smt::TermRef NonEmpty = smt::mkAnd(smt::mkAnd(LoV.Def, HiV.Def),
                                      smt::lt(LoV.Val, HiV.Val));
   if (auto E = checkProved(
-          Ctx, Info.PathCond, NonEmpty, LoopPat,
+          Ctx, Info.PathCond, NonEmpty,
           "for " + Loop->name().name() + " in _: _",
           "remove_loop: cannot prove the loop runs at least once"))
     return *E;
@@ -288,7 +287,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   EffectSets A = extractBlock(Ctx, S1, Loop->body());
   FlowState S2 = Info.Pre;
   EffectSets A2 = extractBlock(Ctx, S2, Loop->body());
-  if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2), LoopPat,
+  if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2),
                            "for " + Loop->name().name() + " in _: _",
                            "remove_loop: body is not provably idempotent"))
     return *E;
@@ -296,12 +295,12 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   return Op.derive(Loop->body());
 }
 
-Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
-                                             const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::fuseLoops(const Cursor &Target) {
   ScopedOpName OpName(ops::Fuse);
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   const Block &B = blockAt(*P, *C);
   if (C->Begin + 1 >= B.size() ||
       B[C->Begin + 1]->kind() != StmtKind::For)
@@ -321,7 +320,7 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
   smt::TermRef SameBounds =
       smt::mkAnd({Lo1.Def, Lo2.Def, Hi1.Def, Hi2.Def,
                   smt::eq(Lo1.Val, Lo2.Val), smt::eq(Hi1.Val, Hi2.Val)});
-  if (auto E = checkProved(Ctx, Info.PathCond, SameBounds, LoopPat,
+  if (auto E = checkProved(Ctx, Info.PathCond, SameBounds,
                            "for " + L1->name().name() + " in _: _",
                            "fuse_loop: loop bounds are not provably equal"))
     return *E;
@@ -343,7 +342,7 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
     Premise = triAnd(Premise, loopBoundsPremise(Ctx, Info.Pre, L2->lo(),
                                                 L2->hi(), X2));
     Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
-    if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), LoopPat,
+    if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2),
                              "for " + L1->name().name() + " in _: _",
                              "fuse_loop: moved iterations do not commute"))
       return *E;
@@ -362,12 +361,12 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
   return deriveProc(P, replaceRange(P->body(), Two, {NewLoop}), Two, 1);
 }
 
-Expected<ProcRef> exo::scheduling::liftIf(const ProcRef &P,
-                                          const std::string &IfPat) {
+Expected<ProcRef> exo::scheduling::liftIf(const Cursor &Target) {
   ScopedOpName OpName(ops::LiftIf);
-  auto C = findOneOfKind(*P, IfPat, StmtKind::If, "an if");
+  auto C = selectionOfKind(Target, StmtKind::If, "an if");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   if (C->Path.empty())
     return makeError(Error::Kind::Scheduling,
                      "lift_if: the if has no enclosing statement");

@@ -235,16 +235,15 @@ private:
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::stageMem(const ProcRef &P,
-                                            const std::string &StmtPat,
-                                            unsigned Count,
+Expected<ProcRef> exo::scheduling::stageMem(const Cursor &Stmts,
                                             const std::string &WindowSrc,
                                             const std::string &NewName,
                                             const std::string &Mem) {
   ScopedOpName OpName(ops::Stage);
-  auto C = findStmts(*P, StmtPat, Count);
+  auto C = selection(Stmts, /*Multi=*/true);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmts.proc();
   OpContext Op(P, *C);
   std::vector<StmtRef> Sel = Op.stmts();
 
@@ -406,6 +405,21 @@ StmtRef retypeStmt(const StmtRef &S, std::set<Sym> &Targets, ScalarKind K) {
   return Copy;
 }
 
+/// The first allocation named \p Name: how the name-addressed
+/// set_memory and set_precision find an allocation that is not an
+/// argument.
+Expected<StmtCursor> allocNamed(const ProcRef &P, const std::string &Name) {
+  std::string Pat = Name + " : _";
+  auto C = Cursor::find(P, Pat);
+  if (!C) {
+    ScheduleErrorInfo Info;
+    Info.Op = currentOpName();
+    Info.Pattern = Pat;
+    return C.error().withScheduleInfo(std::move(Info));
+  }
+  return selectionOfKind(*C, StmtKind::Alloc, "an allocation");
+}
+
 } // namespace
 
 Expected<ProcRef> exo::scheduling::setMemory(const ProcRef &P,
@@ -424,7 +438,7 @@ Expected<ProcRef> exo::scheduling::setMemory(const ProcRef &P,
     }
   }
   // Allocation.
-  auto C = findOneOfKind(*P, Name + " : _", StmtKind::Alloc, "an allocation");
+  auto C = allocNamed(P, Name);
   if (!C)
     return C.error();
   OpContext Op(P, *C);
@@ -446,8 +460,7 @@ Expected<ProcRef> exo::scheduling::setPrecision(const ProcRef &P,
     if (A.Name.name() == Name)
       Target = A.Name;
   if (!Target.valid()) {
-    auto C = findOneOfKind(*P, Name + " : _", StmtKind::Alloc,
-                           "an allocation");
+    auto C = allocNamed(P, Name);
     if (!C)
       return C.error();
     Target = selectedStmts(*P, *C)[0]->name();

@@ -41,7 +41,7 @@ ir::ProcRef deriveProc(const ir::ProcRef &Old, ir::Block NewBody,
 /// The deduplicated effect-extraction preamble the analysis-backed
 /// operators used to copy-paste: one AnalysisCtx plus the lazily-derived
 /// one-holed context of §6.1 for a resolved cursor. Construct it after
-/// pattern resolution succeeds; call info() only on the paths that need
+/// the cursor's selection is checked; call info() only on the paths that need
 /// analysis (several operators have analysis-free fast paths). derive()
 /// splices a replacement at the cursor and stamps the dirty region.
 class OpContext {
@@ -99,27 +99,30 @@ private:
 /// elements) — shared by simplify() and the ops that synthesize indices.
 ir::ExprRef simplifyExpr(const ir::ExprRef &E);
 
-/// Convenience: cursor must select exactly one statement of kind \p K.
-Expected<StmtCursor> findOneOfKind(const ir::Proc &P,
-                                   const std::string &Pattern,
-                                   ir::StmtKind K, const char *What);
+/// The selection of \p C in its anchor procedure. A null cursor, a gap,
+/// and — unless \p Multi — a selection of more than one statement are
+/// rejected with a Pattern error whose ScheduleErrorInfo names the running
+/// operator and has Loc = C.str().
+Expected<StmtCursor> selection(const Cursor &C, bool Multi = false);
+
+/// selection() of exactly one statement of kind \p K (\p What: "a loop").
+Expected<StmtCursor> selectionOfKind(const Cursor &C, ir::StmtKind K,
+                                     const char *What);
 
 /// Discharges a safety condition under the premise. On success returns
 /// nullopt; on failure, a Safety error whose structured payload records
-/// the running operator (currentOpName), the pattern/location it was
-/// working on, and the solver's verdict (No vs. Unknown-budget vs.
-/// Unknown-structural).
+/// the running operator (currentOpName), the location it was working on,
+/// and the solver's verdict (No vs. Unknown-budget vs.
+/// Unknown-structural). The pattern, if any, is the caller's to fill in.
 inline std::optional<Error>
 checkProved(analysis::AnalysisCtx &Ctx, const analysis::TriBool &Premise,
-            const smt::TermRef &Cond, std::string Pattern, std::string Loc,
-            std::string Msg) {
+            const smt::TermRef &Cond, std::string Loc, std::string Msg) {
   ScheduleErrorInfo::Verdict V =
       analysis::dischargeUnderPremise(Ctx, Premise, Cond);
   if (V == ScheduleErrorInfo::Verdict::Yes)
     return std::nullopt;
   ScheduleErrorInfo Info;
   Info.Op = currentOpName();
-  Info.Pattern = std::move(Pattern);
   Info.Loc = std::move(Loc);
   Info.SolverVerdict = V;
   return makeScheduleError(Error::Kind::Safety, std::move(Msg),

@@ -194,84 +194,6 @@ Expected<StmtCursor> exo::scheduling::findStmts(const Proc &P,
   return Out;
 }
 
-std::string exo::scheduling::loopPatternFor(const Proc &P,
-                                            const StmtCursor &C) {
-  std::vector<StmtRef> Sel = analysis::selectedStmts(P, C);
-  if (Sel.size() != 1 || Sel[0]->kind() != StmtKind::For)
-    fatalError("loopPatternFor: cursor does not select a loop");
-  std::string Base = "for " + Sel[0]->name().name() + " in _: _";
-  for (int K = 0; K < 1024; ++K) {
-    std::string Pat = Base + " #" + std::to_string(K);
-    auto Found = findStmts(P, Pat);
-    if (!Found)
-      break;
-    if (Found->Begin == C.Begin && Found->Path.size() == C.Path.size()) {
-      bool Same = true;
-      for (size_t I = 0; I < C.Path.size(); ++I)
-        Same &= Found->Path[I].Index == C.Path[I].Index &&
-                Found->Path[I].Into == C.Path[I].Into;
-      if (Same)
-        return Pat;
-    }
-  }
-  fatalError("loopPatternFor: loop not found by its own pattern");
-}
-
-Expected<std::string> exo::scheduling::patternFor(const Proc &P,
-                                                  const StmtCursor &C) {
-  if (C.Begin == C.End)
-    return makeError(Error::Kind::Pattern,
-                     "a gap cursor selects no statement to re-find");
-  std::vector<StmtRef> Sel = analysis::selectedStmts(P, C);
-  const StmtRef &S = Sel[0];
-  std::string Base;
-  switch (S->kind()) {
-  case StmtKind::For:
-    Base = "for " + S->name().name() + " in _: _";
-    break;
-  case StmtKind::If:
-    Base = "if _: _";
-    break;
-  case StmtKind::Alloc:
-    Base = S->name().name() + " : _";
-    break;
-  case StmtKind::Assign:
-  case StmtKind::WindowStmt:
-    // Window bindings match the assignment pattern and share its
-    // ordinal space (see stmtMatches above).
-    Base = S->name().name() + " = _";
-    break;
-  case StmtKind::Reduce:
-    Base = S->name().name() + " += _";
-    break;
-  case StmtKind::WriteConfig:
-    Base = S->name().name() + "." + S->field().name() + " = _";
-    break;
-  case StmtKind::Call:
-    Base = S->proc()->name() + "(_)";
-    break;
-  case StmtKind::Pass:
-    Base = "pass";
-    break;
-  }
-  for (int K = 0; K < 1024; ++K) {
-    std::string Pat = Base + " #" + std::to_string(K);
-    auto Found = findStmts(P, Pat);
-    if (!Found)
-      break;
-    if (Found->Begin == C.Begin && Found->Path.size() == C.Path.size()) {
-      bool Same = true;
-      for (size_t I = 0; I < C.Path.size(); ++I)
-        Same &= Found->Path[I].Index == C.Path[I].Index &&
-                Found->Path[I].Into == C.Path[I].Into;
-      if (Same)
-        return Pat;
-    }
-  }
-  return makeError(Error::Kind::Internal,
-                   "statement not found by its own pattern '" + Base + "'");
-}
-
 std::map<std::string, frontend::ScopedName>
 exo::scheduling::scopeAt(const Proc &P, const StmtCursor &C) {
   std::map<std::string, frontend::ScopedName> Scope;

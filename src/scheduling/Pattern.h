@@ -42,22 +42,10 @@ using analysis::PathStep;
 using analysis::StmtCursor;
 
 /// Finds the statement selected by \p Pattern; the cursor selects
-/// [match, match + Count) consecutive statements.
+/// [match, match + Count) consecutive statements. Cursor::find (Cursor.h)
+/// is its one caller: operators take a resolved Cursor, never a pattern.
 Expected<StmtCursor> findStmts(const ir::Proc &P, const std::string &Pattern,
                                unsigned Count = 1);
-
-/// Builds a pattern string ("for i in _: _ #k") that uniquely selects the
-/// loop statement at \p C. Aborts if C does not address a loop.
-std::string loopPatternFor(const ir::Proc &P, const StmtCursor &C);
-
-/// Generalization of loopPatternFor to every statement kind: a pattern
-/// string ("x[_] += _ #2", "gemm_ld(_) #0", ...) that re-finds exactly
-/// the first statement of \p C's selection. This is how cursor-taking
-/// operator overloads reuse the pattern-based primitives: the synthesized
-/// pattern resolves back to the same cursor, so the rewrite — and the
-/// generated code — is identical to the string-pattern spelling. Errors
-/// on gap cursors (they select no statement).
-Expected<std::string> patternFor(const ir::Proc &P, const StmtCursor &C);
 
 /// Names visible at the cursor: procedure arguments, then bindings made
 /// by statements preceding it (allocations, windows, loop iterators of

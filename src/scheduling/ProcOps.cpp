@@ -73,24 +73,34 @@ ProcRef exo::scheduling::deriveProc(const ProcRef &Old, Block NewBody,
   return finishDerive(std::move(P), std::move(Dirty));
 }
 
-Expected<StmtCursor> exo::scheduling::findOneOfKind(const Proc &P,
-                                                    const std::string &Pattern,
-                                                    StmtKind K,
-                                                    const char *What) {
+/// A rejected selection: a Pattern error naming the running operator, at
+/// the cursor.
+static Error selectionError(const Cursor &C, std::string Why) {
   ScheduleErrorInfo Info;
   Info.Op = currentOpName();
-  Info.Pattern = Pattern;
-  auto C = findStmts(P, Pattern);
-  if (!C)
-    return C.error().scheduleInfo() ? C.error()
-                                    : C.error().withScheduleInfo(Info);
-  auto Sel = selectedStmts(P, *C);
-  if (Sel.size() != 1 || Sel[0]->kind() != K)
-    return makeScheduleError(Error::Kind::Pattern,
-                             std::string("pattern '") + Pattern +
-                                 "' did not select " + What,
-                             std::move(Info));
-  return C;
+  Info.Loc = C.str();
+  return makeScheduleError(Error::Kind::Pattern, std::move(Why),
+                           std::move(Info));
+}
+
+Expected<StmtCursor> exo::scheduling::selection(const Cursor &C, bool Multi) {
+  if (C.null())
+    return selectionError(C, "operation on a null cursor");
+  if (C.isGap())
+    return selectionError(C, "a gap cursor selects no statement");
+  if (!Multi && C.count() != 1)
+    return selectionError(C, "cursor selects " + std::to_string(C.count()) +
+                                 " statements, not one");
+  return C.raw();
+}
+
+Expected<StmtCursor> exo::scheduling::selectionOfKind(const Cursor &C,
+                                                      StmtKind K,
+                                                      const char *What) {
+  auto Sel = selection(C);
+  if (!Sel || C.stmts()[0]->kind() == K)
+    return Sel;
+  return selectionError(C, "cursor " + C.str() + " did not select " + What);
 }
 
 namespace {
@@ -546,25 +556,25 @@ Expected<ProcRef> exo::scheduling::deletePass(const ProcRef &P) {
   return deriveProc(P, std::move(NewBody));
 }
 
-Expected<ProcRef> exo::scheduling::inlineCall(const ProcRef &P,
-                                              const std::string &CallPat) {
+Expected<ProcRef> exo::scheduling::inlineCall(const Cursor &Target) {
   ScopedOpName Op(ops::Inline);
-  auto C = findOneOfKind(*P, CallPat, StmtKind::Call, "a call");
+  auto C = selectionOfKind(Target, StmtKind::Call, "a call");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   StmtRef Call = selectedStmts(*P, *C)[0];
   Block Inlined = substitutedCalleeBody(Call);
   unsigned NewCount = unsigned(Inlined.size());
   return deriveProc(P, replaceRange(P->body(), *C, Inlined), *C, NewCount);
 }
 
-Expected<ProcRef> exo::scheduling::callEqv(const ProcRef &P,
-                                           const std::string &CallPat,
+Expected<ProcRef> exo::scheduling::callEqv(const Cursor &Target,
                                            const ProcRef &NewCallee) {
   ScopedOpName Op(ops::CallEqv);
-  auto C = findOneOfKind(*P, CallPat, StmtKind::Call, "a call");
+  auto C = selectionOfKind(Target, StmtKind::Call, "a call");
   if (!C)
     return C.error();
+  const ProcRef &P = Target.proc();
   StmtRef Call = selectedStmts(*P, *C)[0];
   const ProcRef &Old = Call->proc();
   auto Delta = equivalenceDelta(Old, NewCallee);

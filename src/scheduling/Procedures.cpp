@@ -53,6 +53,53 @@ Error notALoop(const char *Proc, const Cursor &C) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// hoist
+//===----------------------------------------------------------------------===//
+
+Expected<ProcRef> exo::scheduling::hoistStmtToTop(const Cursor &Stmt) {
+  auto S = Stmt.stmt();
+  if (!S)
+    return S.error();
+  // Each step moves the statement one slot up or one level out, so the
+  // loop ends; the cursor follows the statement by where each step is
+  // known to put it.
+  Cursor C = Stmt;
+  for (;;) {
+    StmtCursor At = C.raw();
+    if (At.Begin > 0) {
+      auto Next = moveStmtUp(C);
+      if (!Next)
+        return Next.error();
+      --At.Begin;
+      --At.End;
+      C = Cursor::fromStmtCursor(*Next, At);
+      continue;
+    }
+    if (At.Path.empty())
+      return C.proc(); // already the first statement of the procedure
+    // First statement of an enclosing block: fission the loop after it,
+    // then remove the singleton loop left around it.
+    Cursor Parent = *C.parent();
+    StmtRef Loop = *Parent.stmt();
+    if (Loop->kind() != StmtKind::For)
+      return makeError(Error::Kind::Scheduling,
+                       "hoist: cannot hoist out of a conditional");
+    if (Loop->body().size() > 1) {
+      // The first of the two loops keeps the parent's slot.
+      auto Fissioned = fissionAfter(C);
+      if (!Fissioned)
+        return Fissioned.error();
+      Parent = Cursor::fromStmtCursor(*Fissioned, Parent.raw());
+    }
+    auto Next = removeLoop(Parent);
+    if (!Next)
+      return Next.error();
+    // The loop's body, the statement alone, takes the loop's slot.
+    C = Cursor::fromStmtCursor(*Next, Parent.raw());
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // tile2D
 //===----------------------------------------------------------------------===//
 
@@ -132,20 +179,6 @@ Expected<ProcRef> exo::scheduling::tile2D(const Cursor &LoopI, int64_t TileI,
   return simplify(*P5);
 }
 
-Expected<ProcRef> exo::scheduling::tile2D(const ProcRef &P,
-                                          const std::string &LoopI,
-                                          int64_t TileI, int64_t TileJ,
-                                          const std::string &OuterI,
-                                          const std::string &InnerI,
-                                          const std::string &OuterJ,
-                                          const std::string &InnerJ,
-                                          SplitTail Tail) {
-  auto C = Cursor::find(P, Schedule::loopPattern(LoopI));
-  if (!C)
-    return C.error();
-  return tile2D(*C, TileI, TileJ, OuterI, InnerI, OuterJ, InnerJ, Tail);
-}
-
 //===----------------------------------------------------------------------===//
 // stageAndVectorize
 //===----------------------------------------------------------------------===//
@@ -215,18 +248,6 @@ Expected<ProcRef> exo::scheduling::stageAndVectorize(
   return splitLoop(*Lane, Lanes, OuterName, InnerName, SplitTail::Perfect);
 }
 
-Expected<ProcRef> exo::scheduling::stageAndVectorize(
-    const ProcRef &P, const std::string &StmtPat,
-    const std::string &WindowSrc, const std::string &NewName,
-    const std::string &Mem, int64_t Lanes, const std::string &OuterName,
-    const std::string &InnerName) {
-  auto C = Cursor::find(P, StmtPat);
-  if (!C)
-    return C.error();
-  return stageAndVectorize(*C, WindowSrc, NewName, Mem, Lanes, OuterName,
-                           InnerName);
-}
-
 //===----------------------------------------------------------------------===//
 // autoDivide
 //===----------------------------------------------------------------------===//
@@ -267,13 +288,40 @@ Expected<ProcRef> exo::scheduling::autoDivide(const Cursor &Loop,
   return splitLoop(Loop, Factor, OuterName, InnerName, SplitTail::Perfect);
 }
 
-Expected<ProcRef> exo::scheduling::autoDivide(const ProcRef &P,
-                                              const std::string &LoopPat,
-                                              int64_t MaxFactor,
-                                              const std::string &OuterName,
-                                              const std::string &InnerName) {
-  auto C = Cursor::find(P, Schedule::loopPattern(LoopPat));
-  if (!C)
-    return C.error();
-  return autoDivide(*C, MaxFactor, OuterName, InnerName);
+//===----------------------------------------------------------------------===//
+// Schedule facade chainers for the procedures above
+//===----------------------------------------------------------------------===//
+
+Schedule &Schedule::hoistToTop(const std::string &StmtPat) {
+  return stepAt(ops::Hoist, StmtPat, hoistStmtToTop);
+}
+
+Schedule &Schedule::tile2d(const std::string &LoopI, int64_t TileI,
+                           int64_t TileJ, const std::string &OuterI,
+                           const std::string &InnerI,
+                           const std::string &OuterJ,
+                           const std::string &InnerJ, SplitTail Tail) {
+  return stepAt(ops::Tile2D, loopPattern(LoopI), [&](const Cursor &C) {
+    return tile2D(C, TileI, TileJ, OuterI, InnerI, OuterJ, InnerJ, Tail);
+  });
+}
+
+Schedule &Schedule::stageVec(const std::string &StmtPat,
+                             const std::string &WindowSrc,
+                             const std::string &NewName,
+                             const std::string &Mem, int64_t Lanes,
+                             const std::string &OuterName,
+                             const std::string &InnerName) {
+  return stepAt(ops::StageVec, StmtPat, [&](const Cursor &C) {
+    return stageAndVectorize(C, WindowSrc, NewName, Mem, Lanes, OuterName,
+                             InnerName);
+  });
+}
+
+Schedule &Schedule::autoDivide(const std::string &Loop, int64_t MaxFactor,
+                               const std::string &OuterName,
+                               const std::string &InnerName) {
+  return stepAt(ops::AutoDivide, loopPattern(Loop), [&](const Cursor &C) {
+    return scheduling::autoDivide(C, MaxFactor, OuterName, InnerName);
+  });
 }

@@ -7,33 +7,39 @@
 /// \file
 /// Named, composable scheduling procedures (Exo 2, "Growing a Scheduling
 /// Language"): mid-level rewrites built purely from the primitive
-/// operators, with first-class cursors (Cursor.h) doing the internal
-/// addressing. A procedure is an ordinary function from procedure to
-/// procedure — it adds no rewriting power and no trusted code; every step
-/// inside it is one of the safety-checked primitives, so the first
+/// operators of Schedule.h, with first-class cursors (Cursor.h) doing the
+/// internal addressing. A procedure is an ordinary function from a cursor
+/// to a procedure — it adds no rewriting power and no trusted code; every
+/// step inside it is one of the safety-checked primitives, so the first
 /// failing primitive aborts the whole procedure with its structured
-/// error.
+/// error. Between steps a procedure follows its statements by cursor
+/// navigation, forwarding, or the known effect of the step it just took —
+/// never by re-matching a pattern.
 ///
-/// Because the cursor overloads resolve to the *same* rewrites as their
-/// string-pattern spellings, replacing a hand-written primitive sequence
-/// in an app with the equivalent procedure call leaves the generated C
-/// byte-identical. The apps (Sgemm, GemminiMatmul, AmxMatmul), the
-/// KernelSuite, and the tuner's SearchSpace all schedule through these.
-///
-/// hoistStmtToTop (Schedule.h) predates this header but is the same
-/// species: a named composite built from moveStmtUp / fissionAfter /
-/// removeLoop. It stays declared there for compatibility; treat it as a
-/// member of this family.
+/// A procedure call is exactly the primitive sequence it stands for, so
+/// replacing a hand-written sequence in an app with the procedure leaves
+/// the generated C byte-identical. The apps (Sgemm, GemminiMatmul,
+/// AmxMatmul, Conv) reach these through the Schedule facade's chainers
+/// (hoistToTop, tile2d, stageVec, autoDivide), the trace grammar through
+/// its hoist / tile2d / stage_vec / auto_divide steps.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXO_SCHEDULING_PROCEDURES_H
 #define EXO_SCHEDULING_PROCEDURES_H
 
-#include "scheduling/Cursor.h"
+#include "scheduling/Schedule.h"
 
 namespace exo {
 namespace scheduling {
+
+/// hoist: hoists the selected statement to the top of the procedure by
+/// repeatedly commuting it above its predecessors (moveStmtUp) and, at
+/// the head of an enclosing loop, fissioning the loop after it and
+/// removing the singleton loop left around it (fissionAfter, removeLoop).
+/// Every step is safety-checked; the first failing step aborts the whole
+/// hoist. Hoisting out of a conditional is rejected.
+Expected<ProcRef> hoistStmtToTop(const Cursor &Stmt);
 
 /// tile2D: tiles a 2-deep loop nest \p LoopI { LoopJ { ... } } by
 /// TileI x TileJ and sinks the two intra-tile loops below whatever single
@@ -47,16 +53,8 @@ namespace scheduling {
 ///   split I; split J; reorder InnerI; reorder InnerJ; reorder InnerI;
 ///   simplify
 /// so a schedule migrated from that spelling produces byte-identical C.
-/// \p LoopI accepts a bare iterator name or a full loop pattern
-/// (Schedule::loopPattern rules); intermediate loops are re-found by
-/// cursor navigation + forwarding, never by pattern.
-Expected<ProcRef> tile2D(const ProcRef &P, const std::string &LoopI,
-                         int64_t TileI, int64_t TileJ,
-                         const std::string &OuterI, const std::string &InnerI,
-                         const std::string &OuterJ, const std::string &InnerJ,
-                         SplitTail Tail = SplitTail::Perfect);
-
-/// Cursor entry point: \p LoopI addresses the outer loop directly.
+/// \p LoopI addresses the outer loop; intermediate loops are re-found by
+/// cursor navigation + forwarding.
 Expected<ProcRef> tile2D(const Cursor &LoopI, int64_t TileI, int64_t TileJ,
                          const std::string &OuterI, const std::string &InnerI,
                          const std::string &OuterJ, const std::string &InnerJ,
@@ -69,15 +67,7 @@ Expected<ProcRef> tile2D(const Cursor &LoopI, int64_t TileI, int64_t TileJ,
 /// (Perfect), shaping the copy stream into lane-sized chunks ready for a
 /// replaceWith against a vector-load instruction. Equivalent to the
 /// hand-written "stage; split <copy iterator>" pair, byte-identically.
-Expected<ProcRef> stageAndVectorize(const ProcRef &P,
-                                    const std::string &StmtPat,
-                                    const std::string &WindowSrc,
-                                    const std::string &NewName,
-                                    const std::string &Mem, int64_t Lanes,
-                                    const std::string &OuterName,
-                                    const std::string &InnerName);
-
-/// Cursor entry point; the selection width is taken from the cursor.
+/// The selection width is taken from the cursor.
 Expected<ProcRef> stageAndVectorize(const Cursor &Stmts,
                                     const std::string &WindowSrc,
                                     const std::string &NewName,
@@ -91,11 +81,6 @@ Expected<ProcRef> stageAndVectorize(const Cursor &Stmts,
 /// loop bound is not a compile-time constant or no factor >= 2 divides it.
 /// The autotuner uses this to tile loops without hard-coding factors per
 /// problem size.
-Expected<ProcRef> autoDivide(const ProcRef &P, const std::string &LoopPat,
-                             int64_t MaxFactor, const std::string &OuterName,
-                             const std::string &InnerName);
-
-/// Cursor entry point.
 Expected<ProcRef> autoDivide(const Cursor &Loop, int64_t MaxFactor,
                              const std::string &OuterName,
                              const std::string &InnerName);

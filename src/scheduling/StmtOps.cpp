@@ -22,8 +22,7 @@ namespace {
 
 /// Shared commute-and-swap used by reorderStmts / moveStmtUp: swaps the
 /// statement at \p C with its successor after proving they commute.
-Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
-                               const std::string &Pattern) {
+Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C) {
   const Block &B = blockAt(*P, C);
   if (C.Begin + 1 >= B.size())
     return makeError(Error::Kind::Scheduling,
@@ -49,7 +48,7 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
     EffectSets A1 = extractStmt(Op.Ctx, State, S1);
     EffectSets A2 = extractStmt(Op.Ctx, State, S2);
     if (auto E = checkProved(Op.Ctx, Info.PathCond, commutesCond(A1, A2),
-                             Pattern, printStmt(S1),
+                             printStmt(S1),
                              "reorder_stmts: statements do not commute"))
       return *E;
   }
@@ -58,19 +57,17 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::reorderStmts(const ProcRef &P,
-                                                const std::string &FirstPat) {
+Expected<ProcRef> exo::scheduling::reorderStmts(const Cursor &First) {
   ScopedOpName Op(ops::ReorderStmts);
-  auto C = findStmts(*P, FirstPat);
+  auto C = selection(First);
   if (!C)
     return C.error();
-  return swapAdjacent(P, *C, FirstPat);
+  return swapAdjacent(First.proc(), *C);
 }
 
-Expected<ProcRef> exo::scheduling::moveStmtUp(const ProcRef &P,
-                                              const std::string &StmtPat) {
+Expected<ProcRef> exo::scheduling::moveStmtUp(const Cursor &Stmt) {
   ScopedOpName Op(ops::MoveUp);
-  auto C = findStmts(*P, StmtPat);
+  auto C = selection(Stmt);
   if (!C)
     return C.error();
   if (C->Begin == 0)
@@ -79,69 +76,15 @@ Expected<ProcRef> exo::scheduling::moveStmtUp(const ProcRef &P,
   StmtCursor Prev = *C;
   --Prev.Begin;
   --Prev.End;
-  return swapAdjacent(P, Prev, StmtPat);
+  return swapAdjacent(Stmt.proc(), Prev);
 }
 
-Expected<ProcRef> exo::scheduling::hoistStmtToTop(const ProcRef &P,
-                                                  const std::string &StmtPat) {
-  ProcRef Cur = P;
-  for (unsigned Step = 0; Step < 256; ++Step) {
-    auto C = findStmts(*Cur, StmtPat);
-    if (!C)
-      return C.error();
-    if (C->Begin > 0) {
-      auto Next = moveStmtUp(Cur, StmtPat);
-      if (!Next)
-        return Next.error();
-      Cur = *Next;
-      continue;
-    }
-    if (C->Path.empty())
-      return Cur; // already first statement of the procedure
-    // First statement of an enclosing block: fission the loop after it,
-    // then delete the singleton loop.
-    StmtCursor ParentCur;
-    ParentCur.Path.assign(C->Path.begin(), C->Path.end() - 1);
-    ParentCur.Begin = C->Path.back().Index;
-    ParentCur.End = ParentCur.Begin + 1;
-    StmtRef Parent = selectedStmts(*Cur, ParentCur)[0];
-    if (Parent->kind() != StmtKind::For)
-      return makeError(Error::Kind::Scheduling,
-                       "hoist: cannot hoist out of a conditional");
-    if (Parent->body().size() == 1) {
-      // The loop contains only our statement: remove it directly.
-      auto Next = removeLoop(Cur, loopPatternFor(*Cur, ParentCur));
-      if (!Next)
-        return Next.error();
-      Cur = *Next;
-      continue;
-    }
-    auto Fissioned = fissionAfter(Cur, StmtPat);
-    if (!Fissioned)
-      return Fissioned.error();
-    Cur = *Fissioned;
-    // After fission the statement's new parent is the singleton loop.
-    auto C2 = findStmts(*Cur, StmtPat);
-    if (!C2 || C2->Path.empty())
-      return makeError(Error::Kind::Internal, "hoist: lost the statement");
-    StmtCursor NewParent;
-    NewParent.Path.assign(C2->Path.begin(), C2->Path.end() - 1);
-    NewParent.Begin = C2->Path.back().Index;
-    NewParent.End = NewParent.Begin + 1;
-    auto Next = removeLoop(Cur, loopPatternFor(*Cur, NewParent));
-    if (!Next)
-      return Next.error();
-    Cur = *Next;
-  }
-  return makeError(Error::Kind::Scheduling, "hoist: too many steps");
-}
-
-Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
-                                                const std::string &StmtPat) {
+Expected<ProcRef> exo::scheduling::fissionAfter(const Cursor &Stmt) {
   ScopedOpName OpName(ops::Fission);
-  auto C = findStmts(*P, StmtPat);
+  auto C = selection(Stmt);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmt.proc();
   if (C->Path.empty())
     return makeError(Error::Kind::Scheduling,
                      "fission_after: statement is not inside a loop");
@@ -195,7 +138,7 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
     TriBool Premise = triAnd(Info.PathCond,
                              triAnd(InBounds(X1), InBounds(X2)));
     Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
-    if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), StmtPat,
+    if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2),
                              "for " + Loop->name().name() + " in _: _",
                              "fission_after: split halves do not commute "
                              "across iterations"))
@@ -213,24 +156,24 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
   return Op.derive({L1, L2});
 }
 
-Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
-                                             const std::string &AllocPat,
+Expected<ProcRef> exo::scheduling::liftAlloc(const Cursor &Target,
                                              unsigned Levels) {
   ScopedOpName Op(ops::LiftAlloc);
-  ProcRef Cur = P;
+  auto Sel = selectionOfKind(Target, StmtKind::Alloc, "an allocation");
+  if (!Sel)
+    return Sel.error();
+  StmtCursor C = *Sel;
+  StmtRef Alloc = Target.stmts()[0];
+  ProcRef Cur = Target.proc();
   for (unsigned L = 0; L < Levels; ++L) {
-    auto C = findOneOfKind(*Cur, AllocPat, StmtKind::Alloc, "an allocation");
-    if (!C)
-      return C.error();
-    if (C->Path.empty())
+    if (C.Path.empty())
       return makeError(Error::Kind::Scheduling,
                        "lift_alloc: allocation is already at the top level");
-    StmtRef Alloc = selectedStmts(*Cur, *C)[0];
     // The allocation's dimension expressions must not use the binders we
     // are lifting past (e.g. the loop iterator).
     StmtCursor ParentCur;
-    ParentCur.Path.assign(C->Path.begin(), C->Path.end() - 1);
-    ParentCur.Begin = C->Path.back().Index;
+    ParentCur.Path.assign(C.Path.begin(), C.Path.end() - 1);
+    ParentCur.Begin = C.Path.back().Index;
     ParentCur.End = ParentCur.Begin + 1;
     StmtRef Parent = selectedStmts(*Cur, ParentCur)[0];
     if (Parent->kind() == StmtKind::For) {
@@ -246,8 +189,9 @@ Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
     }
     // Remove the alloc from its block and reinsert before the (rebuilt)
     // parent statement; the path above the parent is unchanged, so the
-    // net dirty region is the parent's slot widening to two statements.
-    Block Without = replaceRange(Cur->body(), *C, {});
+    // net dirty region is the parent's slot widening to two statements,
+    // and the allocation now sits in the parent's old slot.
+    Block Without = replaceRange(Cur->body(), C, {});
     const Block *Bp = &Without;
     for (const PathStep &Step : ParentCur.Path)
       Bp = Step.Into == PathStep::Branch::Body
@@ -256,19 +200,19 @@ Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
     StmtRef NewParent = (*Bp)[ParentCur.Begin];
     Block Rebuilt = replaceRange(Without, ParentCur, {Alloc, NewParent});
     Cur = deriveProc(Cur, std::move(Rebuilt), ParentCur, 2);
+    C = ParentCur;
   }
   return Cur;
 }
 
-Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
-                                            const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::bindExpr(const Cursor &Stmt,
                                             const std::string &ExprPat,
                                             const std::string &NewName) {
   ScopedOpName OpName(ops::BindExpr);
-  auto C = findStmts(*P, StmtPat);
+  auto C = selection(Stmt);
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(Stmt.proc(), *C);
   StmtRef S = Op.stmt();
   if (S->kind() != StmtKind::Assign && S->kind() != StmtKind::Reduce)
     return makeError(Error::Kind::Scheduling,
@@ -332,13 +276,13 @@ Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
                     Stmt::assign(NewSym, {}, Found), NewStmt});
 }
 
-Expected<ProcRef> exo::scheduling::addGuard(const ProcRef &P,
-                                            const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::addGuard(const Cursor &Stmt,
                                             const std::string &CondSrc) {
   ScopedOpName OpName(ops::AddGuard);
-  auto C = findStmts(*P, StmtPat);
+  auto C = selection(Stmt);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmt.proc();
   OpContext Op(P, *C);
   StmtRef S = Op.stmt();
 
@@ -349,8 +293,7 @@ Expected<ProcRef> exo::scheduling::addGuard(const ProcRef &P,
 
   const ContextInfo &Info = Op.info();
   TriBool CondT = Op.Ctx.liftBool(*Cond, Info.Pre.Env);
-  if (auto E = checkProved(Op.Ctx, Info.PathCond, CondT.Must, StmtPat,
-                           CondSrc,
+  if (auto E = checkProved(Op.Ctx, Info.PathCond, CondT.Must, CondSrc,
                            "add_guard: condition '" + CondSrc +
                                "' is not provably true here"))
     return *E;

@@ -683,14 +683,13 @@ bool discoverBufferBases(const Proc &Target, const Block &FooB,
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::replaceWith(const ProcRef &P,
-                                               const std::string &StmtPat,
-                                               unsigned Count,
+Expected<ProcRef> exo::scheduling::replaceWith(const Cursor &Stmts,
                                                const ProcRef &Target) {
   ScopedOpName OpName(ops::Replace);
-  auto C = findStmts(*P, StmtPat, Count);
+  auto C = selection(Stmts, /*Multi=*/true);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmts.proc();
   std::vector<StmtRef> Sel = selectedStmts(*P, *C);
 
   // Pre-pass: bind each tensor parameter to a selection buffer.

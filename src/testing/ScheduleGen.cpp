@@ -189,20 +189,16 @@ std::optional<Error> parseArg(TraceArgKind K, const std::string &Text,
   return std::nullopt;
 }
 
-/// Resolves a target argument to the pattern the primitive receives. A
-/// "@nav" suffix goes through Cursor navigation; \p Width widens the
-/// navigated selection the way the selection-width Cursor overloads do.
-Expected<std::string> resolveTarget(const ProcRef &P, const std::string &Arg,
-                                    bool Loop, unsigned Width) {
-  size_t At = Arg.rfind(" @");
-  if (At == std::string::npos)
-    return Loop ? Schedule::loopPattern(Arg) : Arg;
-  std::string Pat = trimString(Arg.substr(0, At));
-  auto Found = Cursor::find(P, Loop ? Schedule::loopPattern(Pat) : Pat);
-  if (!Found)
-    return Found.error();
+/// Resolves a target argument to the cursor the operator receives:
+/// Cursor::find on \p Pattern, then the steps of \p Nav (the text after
+/// a "@", if any). \p Width is the selection width — of the match, or of
+/// the navigated cursor, widened the way Cursor::expand widens.
+Expected<Cursor> resolveTarget(const ProcRef &P, const std::string &Pattern,
+                               const std::string &Nav, unsigned Width) {
+  auto Found = Cursor::find(P, Pattern, Nav.empty() ? Width : 1);
+  if (!Found || Nav.empty())
+    return Found;
   Cursor Cur = *Found;
-  std::string Nav = Arg.substr(At + 2);
   size_t Pos = 0;
   for (;;) {
     size_t Dot = Nav.find('.', Pos);
@@ -223,7 +219,7 @@ Expected<std::string> resolveTarget(const ProcRef &P, const std::string &Arg,
     else
       return makeError(Error::Kind::Parse,
                        "unknown cursor navigation '" + Step + "' in '" +
-                           Arg + "'");
+                           Pattern + " @" + Nav + "'");
     if (!Next)
       return Next.error();
     Cur = *Next;
@@ -231,13 +227,9 @@ Expected<std::string> resolveTarget(const ProcRef &P, const std::string &Arg,
       break;
     Pos = Dot + 1;
   }
-  if (Width > 1) {
-    auto Wide = Cur.expand(Width - 1);
-    if (!Wide)
-      return Wide.error();
-    Cur = *Wide;
-  }
-  return Cur.pattern();
+  if (Width > 1)
+    return Cur.expand(Width - 1);
+  return Cur;
 }
 
 /// TEST-ONLY unsound rewrite: shrinks the Nth loop (pre-order, counted
@@ -297,44 +289,43 @@ const std::vector<TraceOp> &exo::testing::traceOps() {
   using Args = std::vector<TraceArg>;
   static const std::vector<TraceOp> Table = {
       {ops::Split, {K::Loop, K::Tunable, K::Name, K::Name, K::Tail},
-       [](const ProcRef &P, const Args &A) {
-         return splitLoop(P, A[0].Str, A[1].Int, A[2].Str, A[3].Str,
+       [](const ProcRef &, const Args &A) {
+         return splitLoop(A[0].Cur, A[1].Int, A[2].Str, A[3].Str,
                           A[4].Tail);
        }},
       {ops::Reorder, {K::Loop},
-       [](const ProcRef &P, const Args &A) {
-         return reorderLoops(P, A[0].Str);
+       [](const ProcRef &, const Args &A) {
+         return reorderLoops(A[0].Cur);
        }},
       {ops::Unroll, {K::Loop},
-       [](const ProcRef &P, const Args &A) { return unrollLoop(P, A[0].Str); }},
+       [](const ProcRef &, const Args &A) { return unrollLoop(A[0].Cur); }},
       {ops::Partition, {K::Loop, K::Tunable},
-       [](const ProcRef &P, const Args &A) {
-         return partitionLoop(P, A[0].Str, A[1].Int);
+       [](const ProcRef &, const Args &A) {
+         return partitionLoop(A[0].Cur, A[1].Int);
        }},
       {ops::Remove, {K::Loop},
-       [](const ProcRef &P, const Args &A) { return removeLoop(P, A[0].Str); }},
+       [](const ProcRef &, const Args &A) { return removeLoop(A[0].Cur); }},
       {ops::Fuse, {K::Loop},
-       [](const ProcRef &P, const Args &A) { return fuseLoops(P, A[0].Str); }},
+       [](const ProcRef &, const Args &A) { return fuseLoops(A[0].Cur); }},
       {ops::LiftIf, {K::Stmt},
-       [](const ProcRef &P, const Args &A) { return liftIf(P, A[0].Str); }},
+       [](const ProcRef &, const Args &A) { return liftIf(A[0].Cur); }},
       {ops::ReorderStmts, {K::Stmt},
-       [](const ProcRef &P, const Args &A) {
-         return reorderStmts(P, A[0].Str);
+       [](const ProcRef &, const Args &A) {
+         return reorderStmts(A[0].Cur);
        }},
       {ops::MoveUp, {K::Stmt},
-       [](const ProcRef &P, const Args &A) { return moveStmtUp(P, A[0].Str); }},
+       [](const ProcRef &, const Args &A) { return moveStmtUp(A[0].Cur); }},
       {ops::Fission, {K::Stmt},
-       [](const ProcRef &P, const Args &A) {
-         return fissionAfter(P, A[0].Str);
+       [](const ProcRef &, const Args &A) {
+         return fissionAfter(A[0].Cur);
        }},
       {ops::LiftAlloc, {K::Stmt, K::Tunable},
-       [](const ProcRef &P, const Args &A) {
-         return liftAlloc(P, A[0].Str, unsigned(A[1].Int));
+       [](const ProcRef &, const Args &A) {
+         return liftAlloc(A[0].Cur, unsigned(A[1].Int));
        }},
       {ops::Stage, {K::Stmt, K::Count, K::Name, K::Name, K::Memory},
-       [](const ProcRef &P, const Args &A) {
-         return stageMem(P, A[0].Str, unsigned(A[1].Int), A[2].Str, A[3].Str,
-                         A[4].Str);
+       [](const ProcRef &, const Args &A) {
+         return stageMem(A[0].Cur, A[2].Str, A[3].Str, A[4].Str);
        }},
       {ops::SetMemory, {K::Name, K::Memory},
        [](const ProcRef &P, const Args &A) {
@@ -345,34 +336,34 @@ const std::vector<TraceOp> &exo::testing::traceOps() {
          return setPrecision(P, A[0].Str, A[1].Precision);
        }},
       {ops::Replace, {K::Stmt, K::Count, K::Instr},
-       [](const ProcRef &P, const Args &A) {
-         return replaceWith(P, A[0].Str, unsigned(A[1].Int), A[2].Instr);
+       [](const ProcRef &, const Args &A) {
+         return replaceWith(A[0].Cur, A[2].Instr);
        }},
       {ops::ConfigWrite, {K::Stmt, K::Config, K::Name, K::Name},
-       [](const ProcRef &P, const Args &A) {
-         return configWriteAt(P, A[0].Str, A[1].Config, A[2].Str, A[3].Str);
+       [](const ProcRef &, const Args &A) {
+         return configWriteAt(A[0].Cur, A[1].Config, A[2].Str, A[3].Str);
        }},
       {ops::Hoist, {K::Stmt},
-       [](const ProcRef &P, const Args &A) {
-         return hoistStmtToTop(P, A[0].Str);
+       [](const ProcRef &, const Args &A) {
+         return hoistStmtToTop(A[0].Cur);
        }},
       // Composable named procedures (scheduling/Procedures.h) as single
       // steps, so traces and tuner skeletons speak the apps' vocabulary.
       {ops::Tile2D,
        {K::Loop, K::Tunable, K::Int, K::Name, K::Name, K::Name, K::Name,
         K::Tail},
-       [](const ProcRef &P, const Args &A) {
-         return tile2D(P, A[0].Str, A[1].Int, A[2].Int, A[3].Str, A[4].Str,
+       [](const ProcRef &, const Args &A) {
+         return tile2D(A[0].Cur, A[1].Int, A[2].Int, A[3].Str, A[4].Str,
                        A[5].Str, A[6].Str, A[7].Tail);
        }},
       {ops::AutoDivide, {K::Loop, K::Tunable, K::Name, K::Name},
-       [](const ProcRef &P, const Args &A) {
-         return autoDivide(P, A[0].Str, A[1].Int, A[2].Str, A[3].Str);
+       [](const ProcRef &, const Args &A) {
+         return autoDivide(A[0].Cur, A[1].Int, A[2].Str, A[3].Str);
        }},
       {ops::StageVec,
        {K::Stmt, K::Name, K::Name, K::Memory, K::Int, K::Name, K::Name},
-       [](const ProcRef &P, const Args &A) {
-         return stageAndVectorize(P, A[0].Str, A[1].Str, A[2].Str, A[3].Str,
+       [](const ProcRef &, const Args &A) {
+         return stageAndVectorize(A[0].Cur, A[1].Str, A[2].Str, A[3].Str,
                                   A[4].Int, A[5].Str, A[6].Str);
        }},
       {ops::Simplify, {},
@@ -414,16 +405,31 @@ Expected<ProcRef> exo::testing::applyStep(const ProcRef &P,
     if (Op->Schema[I] == TraceArgKind::Count)
       Width = unsigned(A[I].Int);
   }
+  // Rejections carry the step's op token and its first target's text
+  // where the operator left them empty, as the facade's do.
+  std::string Pattern;
   for (size_t I = 0; I < A.size(); ++I) {
     TraceArgKind Kind = Op->Schema[I];
     if (Kind != TraceArgKind::Loop && Kind != TraceArgKind::Stmt)
       continue;
-    auto Pat = resolveTarget(P, S.Args[I], Kind == TraceArgKind::Loop, Width);
-    if (!Pat)
-      return Pat.error();
-    A[I].Str = *Pat;
+    const std::string &Arg = S.Args[I];
+    size_t At = Arg.rfind(" @");
+    std::string Pat =
+        At == std::string::npos ? Arg : trimString(Arg.substr(0, At));
+    if (Kind == TraceArgKind::Loop)
+      Pat = Schedule::loopPattern(Pat);
+    std::string Nav = At == std::string::npos ? "" : Arg.substr(At + 2);
+    if (Pattern.empty())
+      Pattern = Nav.empty() ? Pat : Pat + " @" + Nav;
+    auto C = resolveTarget(P, Pat, Nav, Width);
+    if (!C)
+      return withStepContext(C.error(), S.Op, Pattern);
+    A[I].Cur = *C;
   }
-  return Op->Apply(P, A);
+  auto R = Op->Apply(P, A);
+  if (!R)
+    return withStepContext(R.error(), S.Op, Pattern);
+  return R;
 }
 
 Expected<ProcRef> exo::testing::applyTrace(

@@ -15,8 +15,10 @@
 /// replayer exchange.
 ///
 /// The trace grammar is one table of ops (name, typed argument schema,
-/// one apply calling the pattern-taking primitive) and one interpreter,
-/// applyStep; DESIGN.md, "Operator table and trace grammar", lists it.
+/// one apply calling the cursor-taking operator) and one interpreter,
+/// applyStep, which resolves each target to a Cursor (Cursor::find plus
+/// any "@nav" steps); DESIGN.md, "Operator table and trace grammar",
+/// lists it.
 /// The table lives here, not in exo_scheduling, because instruction and
 /// config references resolve against exo_hwlibs. It also hosts the
 /// deliberately-unsound test-only rewrite ("unsound_drop_iter") used by
@@ -66,8 +68,9 @@ enum class TraceArgKind {
 
 /// One parsed argument; the field its kind names is set.
 struct TraceArg {
-  std::string Str; ///< the text; for Loop/Stmt, the resolved pattern
-  int64_t Int = 0; ///< Count, Int, Tunable
+  std::string Str;        ///< the text as written
+  scheduling::Cursor Cur; ///< Loop, Stmt: the resolved target
+  int64_t Int = 0;        ///< Count, Int, Tunable
   scheduling::SplitTail Tail = scheduling::SplitTail::Guard;
   ir::ScalarKind Precision = ir::ScalarKind::R;
   ir::ProcRef Instr;
@@ -76,7 +79,7 @@ struct TraceArg {
 
 /// One entry of the op table: the trace token (a scheduling::ops name,
 /// or the test-only unsound_drop_iter), the argument schema, and the
-/// apply that calls the pattern-taking primitive on parsed arguments.
+/// apply that calls the operator on parsed arguments.
 struct TraceOp {
   const char *Name;
   std::vector<TraceArgKind> Schema;
@@ -93,7 +96,9 @@ const TraceOp *findTraceOp(const std::string &Name);
 /// Applies one step to \p P through the scheduling layer, interpreting
 /// it against the op table. Unknown operators, a wrong argument count
 /// and malformed arguments are Parse errors; operator rejection is
-/// reported exactly as the scheduling layer reported it.
+/// reported as the scheduling layer reported it, and a rejection or a
+/// target that does not resolve carries the step's op token and target
+/// text as ScheduleErrorInfo::Op and Pattern where those were empty.
 Expected<ir::ProcRef> applyStep(const ir::ProcRef &P, const ScheduleStep &S);
 
 /// Applies a whole trace, failing on the first rejected step.

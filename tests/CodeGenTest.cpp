@@ -6,6 +6,7 @@
 
 #include "backend/CodeGen.h"
 
+#include "CursorAt.h"
 #include "backend/Backend.h"
 #include "backend/Checks.h"
 #include "backend/Memory.h"
@@ -265,10 +266,10 @@ def gemm16(A: R[16, 16], B: R[16, 16], C: R[16, 16]):
                 C[i, j] += A[i, k] * B[k, j]
 )";
   ProcRef P = mustParse(Src);
-  ProcRef Q = *splitLoop(P, "for i in _: _", 4, "io", "ii",
+  ProcRef Q = *splitLoop(at(P, "for i in _: _"), 4, "io", "ii",
                          SplitTail::Perfect);
-  Q = *reorderLoops(Q, "for ii in _: _");
-  Q = *stageMem(Q, "for ii in _: _", 1, "B[0:16, j:j+1]", "b_col");
+  Q = *reorderLoops(at(Q, "for ii in _: _"));
+  Q = *stageMem(at(Q, "for ii in _: _"), "B[0:16, j:j+1]", "b_col");
   Q = *simplify(Q);
   std::vector<float> A(256), B(256), C(256, 0.0f);
   for (int I = 0; I < 256; ++I) {

@@ -7,18 +7,22 @@
 /// \file
 /// Tests for first-class cursors and rewrite forwarding (DESIGN.md,
 /// "Cursors and forwarding"): structural navigation, the four forwarding
-/// fates and their contracts, invalidation diagnostics, the byte-identity
-/// of cursor-taking operator overloads against their pattern spellings,
-/// the composable named procedures (tile2D / stageAndVectorize /
-/// autoDivide) against hand-written primitive sequences, and the trace
-/// layer's '@' cursor-navigation grammar plus the procedure step kinds.
+/// fates and their contracts, invalidation diagnostics, agreement of the
+/// facade, trace and direct-cursor spellings of a rewrite (results and
+/// rejection payloads), the composable named procedures (hoist / tile2D
+/// / stageAndVectorize / autoDivide) against hand-written primitive
+/// sequences and across moving statements, and the trace layer's '@'
+/// cursor-navigation grammar plus the procedure step kinds.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "scheduling/Procedures.h"
 
+#include "CursorAt.h"
 #include "apps/GemminiMatmul.h"
 #include "apps/Sgemm.h"
+#include "hwlibs/avx512/Avx512Lib.h"
+#include "hwlibs/gemmini/GemminiLib.h"
 #include "ir/Printer.h"
 #include "ir/StructuralEq.h"
 #include "testing/ScheduleGen.h"
@@ -183,9 +187,9 @@ def dup(x: R[4, 4]):
                       "inner");
   ProcRef ByCursor = must(
       splitLoop(Inner, 2, "a", "b", SplitTail::Perfect), "split by cursor");
-  ProcRef ByOrdinal =
-      must(splitLoop(P, "for t in _: _ #1", 2, "a", "b", SplitTail::Perfect),
-           "split by ordinal");
+  ProcRef ByOrdinal = must(
+      splitLoop(at(P, "for t in _: _ #1"), 2, "a", "b", SplitTail::Perfect),
+      "split by ordinal");
   EXPECT_EQ(printProc(ByCursor), printProc(ByOrdinal));
 }
 
@@ -196,19 +200,20 @@ def dup(x: R[4, 4]):
 TEST(CursorTest, DisjointCursorSurvivesEveryLoopPrimitive) {
   ProcRef P = mustParse(FwdSrc);
   expectProbeLive(
-      P, must(splitLoop(P, "for i in _: _", 4, "io", "ii"), "split"),
+      P, must(splitLoop(at(P, "for i in _: _"), 4, "io", "ii"), "split"),
       "split");
-  expectProbeLive(P, must(unrollLoop(P, "for i in _: _"), "unroll"),
+  expectProbeLive(P, must(unrollLoop(at(P, "for i in _: _")), "unroll"),
                   "unroll");
-  expectProbeLive(P, must(partitionLoop(P, "for i in _: _", 3), "partition"),
-                  "partition");
-  expectProbeLive(P, must(addGuard(P, "x[_] = _", "i < 8"), "guard"),
+  expectProbeLive(
+      P, must(partitionLoop(at(P, "for i in _: _"), 3), "partition"),
+      "partition");
+  expectProbeLive(P, must(addGuard(at(P, "x[_] = _"), "i < 8"), "guard"),
                   "add_guard");
-  expectProbeLive(P, must(bindExpr(P, "y[_] = _", "2.0", "c"), "bind"),
+  expectProbeLive(P, must(bindExpr(at(P, "y[_] = _"), "2.0", "c"), "bind"),
                   "bind_expr");
   expectProbeLive(
       P,
-      must(stageMem(P, "for i in _: _", 1, "x[0:8]", "xs"), "stage"),
+      must(stageMem(at(P, "for i in _: _"), "x[0:8]", "xs"), "stage"),
       "stage");
 
   // Primitives with structural preconditions get their own sources; the
@@ -221,8 +226,9 @@ def fwd2(probe: R[4], x: R[8, 8]):
         for j in seq(0, 8):
             x[i, j] = 1.0
 )");
-  expectProbeLive(Nest, must(reorderLoops(Nest, "for i in _: _"), "reorder"),
-                  "reorder");
+  expectProbeLive(
+      Nest, must(reorderLoops(at(Nest, "for i in _: _")), "reorder"),
+      "reorder");
 
   ProcRef Idem = mustParse(R"(
 @proc
@@ -231,7 +237,7 @@ def fwd3(probe: R[4], x: R[8]):
     for i in seq(0, 4):
         x[0] = 3.0
 )");
-  expectProbeLive(Idem, must(removeLoop(Idem, "for i in _: _"), "remove"),
+  expectProbeLive(Idem, must(removeLoop(at(Idem, "for i in _: _")), "remove"),
                   "remove");
 
   ProcRef Adj = mustParse(R"(
@@ -243,11 +249,11 @@ def fwd4(probe: R[4], x: R[8], y: R[8]):
     for j in seq(0, 8):
         y[j] = 2.0
 )");
-  expectProbeLive(Adj, must(fuseLoops(Adj, "for i in _: _"), "fuse"),
+  expectProbeLive(Adj, must(fuseLoops(at(Adj, "for i in _: _")), "fuse"),
                   "fuse");
-  expectProbeLive(Adj, must(reorderStmts(Adj, "for i in _: _"), "swap"),
+  expectProbeLive(Adj, must(reorderStmts(at(Adj, "for i in _: _")), "swap"),
                   "reorder_stmts");
-  expectProbeLive(Adj, must(moveStmtUp(Adj, "for j in _: _"), "move up"),
+  expectProbeLive(Adj, must(moveStmtUp(at(Adj, "for j in _: _")), "move up"),
                   "move_up");
 
   ProcRef TwoStmt = mustParse(R"(
@@ -258,8 +264,9 @@ def fwd8(probe: R[4], x: R[8], y: R[8]):
         x[i] = 1.0
         y[i] = 2.0
 )");
-  expectProbeLive(TwoStmt, must(fissionAfter(TwoStmt, "x[_] = _"), "fission"),
-                  "fission");
+  expectProbeLive(
+      TwoStmt, must(fissionAfter(at(TwoStmt, "x[_] = _")), "fission"),
+      "fission");
 
   ProcRef Guarded = mustParse(R"(
 @proc
@@ -269,7 +276,7 @@ def fwd5(probe: R[4], x: R[8], b: bool):
         if b:
             x[i] = 1.0
 )");
-  expectProbeLive(Guarded, must(liftIf(Guarded, "if b: _"), "lift if"),
+  expectProbeLive(Guarded, must(liftIf(at(Guarded, "if b: _")), "lift if"),
                   "lift_if");
 
   ProcRef WithAlloc = mustParse(R"(
@@ -281,7 +288,7 @@ def fwd6(probe: R[4], x: R[8]):
         t = x[i]
         x[i] = t + 1.0
 )");
-  expectProbeLive(WithAlloc, must(liftAlloc(WithAlloc, "t : _"), "lift"),
+  expectProbeLive(WithAlloc, must(liftAlloc(at(WithAlloc, "t : _")), "lift"),
                   "lift_alloc");
   expectProbeLive(WithAlloc, must(setMemory(WithAlloc, "t", "SCRATCH"),
                                   "set_memory"),
@@ -316,7 +323,7 @@ def fwd7(probe: R[4], x: R[16]):
     zero(8, x[4:12])
 )",
                                &Env);
-  expectProbeLive(WithCall, must(inlineCall(WithCall, "zero(_)"), "inline"),
+  expectProbeLive(WithCall, must(inlineCall(at(WithCall, "zero(_)")), "inline"),
                   "inline");
 }
 
@@ -333,7 +340,7 @@ def sh(probe: R[4], x: R[8], y: R[8]):
 )");
   Cursor C = must(Cursor::find(P, "probe[_] = _"), "probe");
   EXPECT_EQ(C.raw().Begin, 1u);
-  ProcRef Q = must(fissionAfter(P, "x[_] = _"), "fission");
+  ProcRef Q = must(fissionAfter(at(P, "x[_] = _")), "fission");
   ForwardResult F = C.forwardResult(Q);
   EXPECT_EQ(F.Fate, ForwardFate::Shifted) << forwardFateName(F.Fate);
   Cursor Fwd = must(C.forwardTo(Q), "forward");
@@ -346,7 +353,7 @@ TEST(CursorTest, GapCursorSurvivesRewrites) {
   ProcRef P = mustParse(FwdSrc);
   Cursor Gap = must(Cursor::find(P, "probe[_] = _"), "probe").after();
   ASSERT_TRUE(Gap.isGap());
-  ProcRef Q = must(splitLoop(P, "for j in _: _", 4, "jo", "ji"), "split");
+  ProcRef Q = must(splitLoop(at(P, "for j in _: _"), 4, "jo", "ji"), "split");
   ForwardResult F = Gap.forwardResult(Q);
   ASSERT_TRUE(F.live()) << F.Reason;
   Cursor Fwd = must(Gap.forwardTo(Q), "forward gap");
@@ -359,7 +366,7 @@ TEST(CursorTest, InvalidatedCursorNamesOperatorAndReason) {
   // A cursor strictly inside the unrolled loop body is consumed.
   Cursor Body = must(
       must(Cursor::find(P, "for i in _: _"), "loop").body(), "body");
-  ProcRef Q = must(unrollLoop(P, "for i in _: _"), "unroll");
+  ProcRef Q = must(unrollLoop(at(P, "for i in _: _")), "unroll");
   ForwardResult F = Body.forwardResult(Q);
   EXPECT_EQ(F.Fate, ForwardFate::Invalidated) << forwardFateName(F.Fate);
   EXPECT_EQ(F.Op, "unroll");
@@ -373,7 +380,7 @@ TEST(CursorTest, InvalidatedCursorNamesOperatorAndReason) {
 TEST(CursorTest, RebuiltCursorReanchorsOnReplacement) {
   ProcRef P = mustParse(FwdSrc);
   Cursor Loop = must(Cursor::find(P, "for i in _: _"), "loop");
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 4, "io", "ii"), "split");
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 4, "io", "ii"), "split");
   ForwardResult F = Loop.forwardResult(Q);
   EXPECT_EQ(F.Fate, ForwardFate::Rebuilt) << forwardFateName(F.Fate);
   Cursor Fwd = must(Loop.forwardTo(Q), "forward");
@@ -389,9 +396,10 @@ TEST(CursorTest, ChainComposesByMaxSeverity) {
   Cursor Probe = must(Cursor::find(P, "probe[_] = _"), "probe");
   Cursor ILoop = must(Cursor::find(P, "for i in _: _"), "i loop");
 
-  ProcRef Q1 = must(splitLoop(P, "for i in _: _", 4, "io", "ii"), "split");
-  ProcRef Q2 = must(unrollLoop(Q1, "for ii in _: _"), "unroll");
-  ProcRef Q3 = must(splitLoop(Q2, "for j in _: _", 2, "jo", "jj"), "split j");
+  ProcRef Q1 = must(splitLoop(at(P, "for i in _: _"), 4, "io", "ii"), "split");
+  ProcRef Q2 = must(unrollLoop(at(Q1, "for ii in _: _")), "unroll");
+  ProcRef Q3 =
+      must(splitLoop(at(Q2, "for j in _: _"), 2, "jo", "jj"), "split j");
 
   // Disjoint probe survives the whole three-rewrite chain unchanged.
   ForwardResult F = Probe.forwardResult(Q3);
@@ -413,10 +421,18 @@ TEST(CursorTest, ChainComposesByMaxSeverity) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cursor-taking overloads: byte-identical to the pattern spellings
+// One entry point: every spelling of a rewrite reaches the same operator
 //===----------------------------------------------------------------------===//
 
-TEST(CursorTest, CursorOverloadsMatchPatternPrimitives) {
+/// Applies one trace line to \p P through the trace interpreter.
+Expected<ProcRef> traceStep(const ProcRef &P, const char *Line) {
+  auto S = exo::testing::ScheduleStep::parse(Line);
+  if (!S)
+    return S.error();
+  return exo::testing::applyStep(P, *S);
+}
+
+TEST(CursorTest, FacadeTraceAndCursorSpellingsMatch) {
   ProcRef P = mustParse(R"(
 @proc
 def ov(x: R[8, 8]):
@@ -427,22 +443,45 @@ def ov(x: R[8, 8]):
   Cursor I = must(Cursor::find(P, "for i in _: _"), "i");
   Cursor J = must(I.body(), "j");
 
-  EXPECT_EQ(printProc(must(splitLoop(I, 4, "io", "ii"), "c split")),
-            printProc(must(splitLoop(P, "for i in _: _", 4, "io", "ii"),
-                           "p split")));
-  EXPECT_EQ(printProc(must(reorderLoops(I), "c reorder")),
-            printProc(must(reorderLoops(P, "for i in _: _"), "p reorder")));
-  EXPECT_EQ(printProc(must(unrollLoop(J), "c unroll")),
-            printProc(must(unrollLoop(P, "for j in _: _"), "p unroll")));
+  // The facade chainer, the trace step (plain and @nav) and the direct
+  // cursor call print the same procedure.
+  auto expectSame = [&](const ProcRef &Direct, Expected<ProcRef> Facade,
+                        const char *Plain, const char *Nav) {
+    std::string Want = printProc(Direct);
+    EXPECT_EQ(printProc(must(std::move(Facade), "facade")), Want) << Plain;
+    EXPECT_EQ(printProc(must(traceStep(P, Plain), Plain)), Want);
+    EXPECT_EQ(printProc(must(traceStep(P, Nav), Nav)), Want);
+  };
+  expectSame(must(splitLoop(I, 4, "io", "ii"), "c split"),
+             Schedule(P).split("i", 4, "io", "ii").proc(),
+             "split|i|4|io|ii|guard", "split|j @parent|4|io|ii|guard");
+  expectSame(must(reorderLoops(I), "c reorder"),
+             Schedule(P).reorder("i").proc(), "reorder|i",
+             "reorder|j @parent");
+  expectSame(must(unrollLoop(J), "c unroll"), Schedule(P).unroll("j").proc(),
+             "unroll|j", "unroll|i @body");
+
   // stageMem mints fresh `i0` copy iterators, so printed suffixes differ
   // between applications; compare up to alpha.
-  EXPECT_TRUE(alphaEquivalent(
-      must(stageMem(J, "x[i, 0:8]", "xs"), "c stage")->body(),
-      must(stageMem(P, "for j in _: _", 1, "x[i, 0:8]", "xs"), "p stage")
-          ->body(),
-      {}));
+  auto expectAlpha = [&](const ProcRef &Direct, Expected<ProcRef> Facade,
+                         const ProcRef &Src, const char *Plain,
+                         const char *Nav) {
+    EXPECT_TRUE(alphaEquivalent(
+        Direct->body(), must(std::move(Facade), "facade")->body(), {}))
+        << Plain;
+    EXPECT_TRUE(alphaEquivalent(Direct->body(),
+                                must(traceStep(Src, Plain), Plain)->body(),
+                                {}));
+    EXPECT_TRUE(alphaEquivalent(Direct->body(),
+                                must(traceStep(Src, Nav), Nav)->body(), {}));
+  };
+  expectAlpha(must(stageMem(J, "x[i, 0:8]", "xs"), "c stage"),
+              Schedule(P).stage("for j in _: _", 1, "x[i, 0:8]", "xs").proc(),
+              P, "stage|for j in _: _|1|x[i, 0:8]|xs|DRAM",
+              "stage|for i in _: _ @body|1|x[i, 0:8]|xs|DRAM");
 
-  // A multi-statement cursor carries its own width into stageMem.
+  // A multi-statement cursor carries its own width into stageMem; the
+  // facade and the trace pass the width to Cursor::find or expand.
   ProcRef Two = mustParse(R"(
 @proc
 def tw(x: R[8]):
@@ -453,14 +492,162 @@ def tw(x: R[8]):
 )");
   Cursor Both = must(
       must(Cursor::find(Two, "for i in _: _"), "first").expand(1), "expand");
-  // The copy-in/copy-out loops both mint fresh `i0` iterators, so the
-  // printed suffixes differ between two applications; compare up to
-  // alpha instead of byte-for-byte.
-  EXPECT_TRUE(alphaEquivalent(
-      must(stageMem(Both, "x[0:8]", "xs"), "c stage2")->body(),
-      must(stageMem(Two, "for i in _: _", 2, "x[0:8]", "xs"), "p stage2")
-          ->body(),
-      {}));
+  expectAlpha(must(stageMem(Both, "x[0:8]", "xs"), "c stage2"),
+              Schedule(Two).stage("for i in _: _", 2, "x[0:8]", "xs").proc(),
+              Two, "stage|for i in _: _|2|x[0:8]|xs|DRAM",
+              "stage|for j in _: _ @prev|2|x[0:8]|xs|DRAM");
+}
+
+/// The rejection payload every spelling of one failing rewrite carries:
+/// the operator name, a non-empty pattern, and the solver's verdict.
+void expectRejection(const char *What, const Expected<ProcRef> &R,
+                     const char *Op, ScheduleErrorInfo::Verdict V) {
+  ASSERT_FALSE(bool(R)) << What << " was accepted";
+  const ScheduleErrorInfo *Info = R.error().scheduleInfo();
+  ASSERT_NE(Info, nullptr) << What << ": " << R.error().str();
+  EXPECT_EQ(Info->Op, Op) << What << ": " << R.error().str();
+  EXPECT_FALSE(Info->Pattern.empty()) << What << ": " << R.error().str();
+  EXPECT_EQ(Info->SolverVerdict, V)
+      << What << ": " << scheduleVerdictName(Info->SolverVerdict) << ", "
+      << R.error().str();
+}
+
+TEST(CursorTest, RejectionPayloadIsTheSameInEverySpelling) {
+  using V = ScheduleErrorInfo::Verdict;
+  ProcRef Loops = mustParse(R"(
+@proc
+def lp(n: size, x: R[n]):
+    for o in seq(0, 2):
+        for i in seq(0, n):
+            x[i] = 1.0
+)");
+  ProcRef Writes = mustParse(R"(
+@proc
+def wr(x: R[16]):
+    x[0] = 1.0
+    x[0] = 2.0
+    for i in seq(0, 16):
+        x[i] = 1.0
+)");
+  const auto &Gemmini = hw::gemmini::gemminiLib();
+  const auto &Avx = hw::avx512::avx512Lib();
+
+  struct Case {
+    const char *Op;
+    V Verdict;
+    const ProcRef &P;
+    Expected<ProcRef> Facade;
+    const char *Plain;
+    const char *Nav;
+  };
+  const Case Cases[] = {
+      // LoopOps: n is not provably a multiple of 16.
+      {ops::Split, V::No, Loops,
+       Schedule(Loops).split("i", 16, "io", "ii", SplitTail::Perfect).proc(),
+       "split|i|16|io|ii|perfect", "split|o @body|16|io|ii|perfect"},
+      // StmtOps: two writes of one location do not commute.
+      {ops::ReorderStmts, V::No, Writes,
+       Schedule(Writes).reorderStmts("x[_] = _").proc(),
+       "reorder_stmts|x[_] = _", "reorder_stmts|x[_] = _ #1 @prev"},
+      // MemOps: x[8..15] falls outside the staged window.
+      {ops::Stage, V::No, Writes,
+       Schedule(Writes).stage("for i in _: _", 1, "x[0:8]", "xs").proc(),
+       "stage|for i in _: _|1|x[0:8]|xs|DRAM",
+       "stage|x[_] = _ #2 @parent|1|x[0:8]|xs|DRAM"},
+      // ConfigOps: the configuration has no such field.
+      {ops::ConfigWrite, V::None, Writes,
+       Schedule(Writes)
+           .configWriteAt("for i in _: _", Gemmini.CfgLd1, "no_field", "1")
+           .proc(),
+       "config_write|for i in _: _|gemmini:cfg_ld1|no_field|1",
+       "config_write|x[_] = _ #2 @parent|gemmini:cfg_ld1|no_field|1"},
+      // Unify: x[i] = 1.0 is not a zeroing.
+      {ops::Replace, V::None, Writes,
+       Schedule(Writes).replaceWith("for i in _: _", 1, Avx.ZeroPs).proc(),
+       "replace|for i in _: _|1|avx512:zero_ps",
+       "replace|x[_] = _ #2 @parent|1|avx512:zero_ps"},
+  };
+  for (const Case &C : Cases) {
+    expectRejection("facade", C.Facade, C.Op, C.Verdict);
+    expectRejection(C.Plain, traceStep(C.P, C.Plain), C.Op, C.Verdict);
+    expectRejection(C.Nav, traceStep(C.P, C.Nav), C.Op, C.Verdict);
+  }
+
+  // Resolution failures: a pattern that matches nothing (the facade and
+  // the trace report the same expanded pattern) and navigation that
+  // leaves the tree.
+  auto Facade = Schedule(Loops).reorder("zz").proc();
+  auto Plain = traceStep(Loops, "reorder|zz");
+  expectRejection("facade no match", Facade, ops::Reorder, V::None);
+  expectRejection("reorder|zz", Plain, ops::Reorder, V::None);
+  EXPECT_EQ(Facade.error().scheduleInfo()->Pattern, "for zz in _: _");
+  EXPECT_EQ(Plain.error().scheduleInfo()->Pattern, "for zz in _: _");
+  auto Off = traceStep(Loops, "reorder|o @parent");
+  expectRejection("reorder|o @parent", Off, ops::Reorder, V::None);
+  EXPECT_EQ(Off.error().scheduleInfo()->Pattern, "for o in _: _ @parent");
+}
+
+//===----------------------------------------------------------------------===//
+// Composites follow their statement, never a re-matched pattern
+//===----------------------------------------------------------------------===//
+
+TEST(CursorTest, HoistWithOrdinalPatternFinishes) {
+  ParseEnv Env;
+  ASSERT_TRUE(bool(parseModule(R"(
+@proc
+def hw_ld(n: size, dst: [R][n], src: [R][n]):
+    for i in seq(0, n):
+        dst[i] = src[i]
+)",
+                               Env)));
+  ProcRef P = mustParse(R"(
+@proc
+def two_loads(x: R[16], y: R[16]):
+    hw_ld(8, y[0:8], x[0:8])
+    hw_ld(8, y[8:16], x[8:16])
+)",
+                        &Env);
+  // "#1" names the other call once the selected one has moved up; the
+  // hoist must stop after that one move instead of swapping them back.
+  std::string Want =
+      printProc(must(moveStmtUp(at(P, "hw_ld(_) #1")), "move_up"));
+  EXPECT_EQ(printProc(must(hoistStmtToTop(at(P, "hw_ld(_) #1")), "hoist")),
+            Want);
+  EXPECT_EQ(printProc(must(Schedule(P).hoistToTop("hw_ld(_) #1").proc(),
+                           "facade hoist")),
+            Want);
+  EXPECT_EQ(printProc(must(traceStep(P, "hoist|hw_ld(_) #1"), "trace hoist")),
+            Want);
+}
+
+TEST(CursorTest, LiftAllocLiftsTheSelectedAllocationOnEveryLevel) {
+  ProcRef P = mustParse(R"(
+@proc
+def two_t(x: R[8]):
+    for i in seq(0, 8):
+        for j in seq(0, 8):
+            t : R
+            t = x[j]
+            x[j] = t
+        t : R
+        t = x[i]
+        x[i] = t
+)");
+  // "t : _ #1" is the allocation in the i body. One level takes it to the
+  // top; a second level must fail there rather than re-match "#1" (now
+  // the inner allocation) and lift that one instead.
+  ProcRef One = must(liftAlloc(at(P, "t : _ #1"), 1), "lift 1");
+  ASSERT_EQ(One->body().size(), 2u);
+  EXPECT_EQ(One->body()[0]->kind(), StmtKind::Alloc);
+  EXPECT_EQ(One->body()[1]->body()[0]->body()[0]->kind(), StmtKind::Alloc)
+      << "the inner allocation must stay in the j loop";
+
+  auto Two = liftAlloc(at(P, "t : _ #1"), 2);
+  ASSERT_FALSE(bool(Two)) << printProc(*Two);
+  EXPECT_NE(Two.error().message().find("already at the top level"),
+            std::string::npos)
+      << Two.error().str();
+  EXPECT_FALSE(bool(traceStep(P, "lift_alloc|t : _ #1|2")));
 }
 
 //===----------------------------------------------------------------------===//
@@ -478,19 +665,19 @@ def mm(A: R[8, 8], B: R[8, 8], C: R[8, 8]):
 
 TEST(CursorTest, Tile2DMatchesHandWrittenSequence) {
   ProcRef P = mustParse(MatmulSrc);
-  ProcRef Proc = must(tile2D(P, "i", 4, 4, "io", "ii", "jo", "ji"),
-                      "tile2d");
+  ProcRef Proc = must(
+      tile2D(at(P, "for i in _: _"), 4, 4, "io", "ii", "jo", "ji"), "tile2d");
 
   // The documented expansion: split I; split J; reorder InnerI; reorder
   // InnerJ; reorder InnerI; simplify.
   ProcRef H = P;
-  H = must(splitLoop(H, "for i in _: _", 4, "io", "ii", SplitTail::Perfect),
+  H = must(splitLoop(at(H, "for i in _: _"), 4, "io", "ii", SplitTail::Perfect),
            "h split i");
-  H = must(splitLoop(H, "for j in _: _", 4, "jo", "ji", SplitTail::Perfect),
+  H = must(splitLoop(at(H, "for j in _: _"), 4, "jo", "ji", SplitTail::Perfect),
            "h split j");
-  H = must(reorderLoops(H, "for ii in _: _"), "h reorder ii");
-  H = must(reorderLoops(H, "for ji in _: _"), "h reorder ji");
-  H = must(reorderLoops(H, "for ii in _: _"), "h reorder ii 2");
+  H = must(reorderLoops(at(H, "for ii in _: _")), "h reorder ii");
+  H = must(reorderLoops(at(H, "for ji in _: _")), "h reorder ji");
+  H = must(reorderLoops(at(H, "for ii in _: _")), "h reorder ii 2");
   H = must(simplify(H), "h simplify");
 
   EXPECT_EQ(printProc(Proc), printProc(H));
@@ -503,11 +690,10 @@ TEST(CursorTest, Tile2DMatchesHandWrittenSequence) {
   EXPECT_EQ(must(must(K.body(), "k body").stmt(), "below k")->kind(),
             StmtKind::For);
 
-  // Both the bare-iterator and full-pattern spellings work; a cursor
-  // addresses the same rewrite.
-  Cursor I = must(Cursor::find(P, "for i in _: _"), "i cursor");
-  EXPECT_EQ(printProc(must(tile2D(I, 4, 4, "io", "ii", "jo", "ji"),
-                           "tile2d cursor")),
+  // The facade's bare-iterator spelling addresses the same rewrite.
+  EXPECT_EQ(printProc(must(
+                Schedule(P).tile2d("i", 4, 4, "io", "ii", "jo", "ji").proc(),
+                "tile2d facade")),
             printProc(Proc));
 
   // Not a 3-deep nest: the procedure reports the first failing primitive.
@@ -518,7 +704,8 @@ def fl(x: R[8, 8]):
         for j in seq(0, 8):
             x[i, j] = 1.0
 )");
-  EXPECT_FALSE(bool(tile2D(Flat, "i", 4, 4, "io", "ii", "jo", "ji")));
+  EXPECT_FALSE(bool(
+      tile2D(at(Flat, "for i in _: _"), 4, 4, "io", "ii", "jo", "ji")));
 }
 
 TEST(CursorTest, StageAndVectorizeMatchesStagePlusSplit) {
@@ -529,16 +716,17 @@ def cp(x: R[8, 8], y: R[8, 8]):
         for j in seq(0, 8):
             y[i, j] = x[i, j]
 )");
-  ProcRef Proc = must(stageAndVectorize(P, "for j in _: _", "x[i, 0:8]",
+  ProcRef Proc = must(stageAndVectorize(at(P, "for j in _: _"), "x[i, 0:8]",
                                         "xv", "DRAM", 4, "lv", "ll"),
                       "stage_vec");
 
-  ProcRef H = must(stageMem(P, "for j in _: _", 1, "x[i, 0:8]", "xv"),
+  ProcRef H = must(stageMem(at(P, "for j in _: _"), "x[i, 0:8]", "xv"),
                    "h stage");
   // The copy-in loop stageMem mints is i0; the procedure re-finds it by
   // navigation, the hand spelling by name.
-  H = must(splitLoop(H, "for i0 in _: _", 4, "lv", "ll", SplitTail::Perfect),
-           "h split copy");
+  H = must(
+      splitLoop(at(H, "for i0 in _: _"), 4, "lv", "ll", SplitTail::Perfect),
+      "h split copy");
   EXPECT_EQ(printProc(Proc), printProc(H));
 
   Cursor J = must(must(Cursor::find(P, "for i in _: _"), "i").body(), "j");
@@ -548,7 +736,7 @@ def cp(x: R[8, 8], y: R[8, 8]):
             printProc(Proc));
 
   // Lanes that do not divide the copy trip count fail the Perfect split.
-  EXPECT_FALSE(bool(stageAndVectorize(P, "for j in _: _", "x[i, 0:8]", "xv",
+  EXPECT_FALSE(bool(stageAndVectorize(at(P, "for j in _: _"), "x[i, 0:8]", "xv",
                                       "DRAM", 3, "lv", "ll")));
 }
 
@@ -561,20 +749,23 @@ def ad(x: R[12]):
 )");
   // 12 with MaxFactor 8: 8, 7 do not divide; 6 does.
   EXPECT_EQ(
-      printProc(must(autoDivide(P, "i", 8, "io", "ii"), "auto 8")),
+      printProc(
+          must(autoDivide(at(P, "for i in _: _"), 8, "io", "ii"), "auto 8")),
       printProc(must(
-          splitLoop(P, "for i in _: _", 6, "io", "ii", SplitTail::Perfect),
+          splitLoop(at(P, "for i in _: _"), 6, "io", "ii", SplitTail::Perfect),
           "split 6")));
   // MaxFactor 5: 4 is the largest divisor.
   EXPECT_EQ(
-      printProc(must(autoDivide(P, "i", 5, "io", "ii"), "auto 5")),
+      printProc(
+          must(autoDivide(at(P, "for i in _: _"), 5, "io", "ii"), "auto 5")),
       printProc(must(
-          splitLoop(P, "for i in _: _", 4, "io", "ii", SplitTail::Perfect),
+          splitLoop(at(P, "for i in _: _"), 4, "io", "ii", SplitTail::Perfect),
           "split 4")));
-  // Cursor spelling agrees.
+  // The facade spelling agrees.
   Cursor I = must(Cursor::find(P, "for i in _: _"), "i");
   EXPECT_EQ(printProc(must(autoDivide(I, 8, "io", "ii"), "auto cursor")),
-            printProc(must(autoDivide(P, "i", 8, "io", "ii"), "auto pat")));
+            printProc(must(Schedule(P).autoDivide("i", 8, "io", "ii").proc(),
+                           "auto facade")));
 
   // Prime trip count: no factor in range.
   ProcRef Prime = mustParse(R"(
@@ -583,7 +774,7 @@ def pr(x: R[7]):
     for i in seq(0, 7):
         x[i] = 1.0
 )");
-  auto E1 = autoDivide(Prime, "i", 5, "io", "ii");
+  auto E1 = autoDivide(at(Prime, "for i in _: _"), 5, "io", "ii");
   ASSERT_FALSE(bool(E1));
   EXPECT_NE(E1.error().str().find("no factor"), std::string::npos)
       << E1.error().str();
@@ -595,7 +786,7 @@ def sy(n: size, x: R[n]):
     for i in seq(0, n):
         x[i] = 1.0
 )");
-  auto E2 = autoDivide(Sym, "i", 8, "io", "ii");
+  auto E2 = autoDivide(at(Sym, "for i in _: _"), 8, "io", "ii");
   ASSERT_FALSE(bool(E2));
   EXPECT_NE(E2.error().str().find("compile-time constant"),
             std::string::npos)
@@ -622,13 +813,14 @@ TEST(CursorTest, ProcedureTraceOpsRoundTripAndApply) {
   ScheduleStep Tile =
       must(ScheduleStep::parse("tile2d|i|4|4|io|ii|jo|ji|perfect"), "tile");
   EXPECT_EQ(printProc(must(applyStep(MM, Tile), "apply tile2d")),
-            printProc(must(tile2D(MM, "i", 4, 4, "io", "ii", "jo", "ji"),
+            printProc(must(tile2D(at(MM, "for i in _: _"), 4, 4, "io", "ii",
+                                  "jo", "ji"),
                            "direct tile2d")));
 
   ScheduleStep Div =
       must(ScheduleStep::parse("auto_divide|k|8|ko|ki"), "div");
   EXPECT_EQ(printProc(must(applyStep(MM, Div), "apply auto_divide")),
-            printProc(must(autoDivide(MM, "k", 8, "ko", "ki"),
+            printProc(must(autoDivide(at(MM, "for k in _: _"), 8, "ko", "ki"),
                            "direct auto_divide")));
 
   ProcRef CP = mustParse(R"(
@@ -642,8 +834,9 @@ def cp(x: R[8, 8], y: R[8, 8]):
       ScheduleStep::parse("stage_vec|for j in _: _|x[i, 0:8]|xv|DRAM|4|lv|ll"),
       "sv");
   EXPECT_EQ(printProc(must(applyStep(CP, SV), "apply stage_vec")),
-            printProc(must(stageAndVectorize(CP, "for j in _: _", "x[i, 0:8]",
-                                             "xv", "DRAM", 4, "lv", "ll"),
+            printProc(must(stageAndVectorize(at(CP, "for j in _: _"),
+                                             "x[i, 0:8]", "xv", "DRAM", 4,
+                                             "lv", "ll"),
                            "direct stage_vec")));
 }
 
@@ -665,7 +858,7 @@ def dup(x: R[4, 4]):
   EXPECT_EQ(
       printProc(must(applyStep(P, Nav), "apply @body")),
       printProc(must(
-          splitLoop(P, "for t in _: _ #1", 2, "a", "b", SplitTail::Perfect),
+          splitLoop(at(P, "for t in _: _ #1"), 2, "a", "b", SplitTail::Perfect),
           "ordinal split")));
 
   // Longer walks compose: @body.parent is the outer loop again.
@@ -675,7 +868,7 @@ def dup(x: R[4, 4]):
   EXPECT_EQ(
       printProc(must(applyStep(P, Round), "apply @body.parent")),
       printProc(must(
-          splitLoop(P, "for t in _: _", 2, "a", "b", SplitTail::Perfect),
+          splitLoop(at(P, "for t in _: _"), 2, "a", "b", SplitTail::Perfect),
           "outer split")));
 
   // Unknown navigation steps are structured parse errors.

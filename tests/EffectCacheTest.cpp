@@ -16,6 +16,7 @@
 
 #include "analysis/EffectCache.h"
 
+#include "CursorAt.h"
 #include "frontend/Parser.h"
 #include "scheduling/Schedule.h"
 
@@ -130,9 +131,9 @@ TEST(EffectCacheTest, RewritesInvalidateByConstruction) {
   ProcRef P = parse(GemmSrc);
   (void)extractProc(P); // prime with the original proc's summaries
 
-  ProcRef Q = *splitLoop(P, "for i in _: _", 8, "io", "ii",
+  ProcRef Q = *splitLoop(at(P, "for i in _: _"), 8, "io", "ii",
                          SplitTail::Perfect);
-  Q = *reorderLoops(Q, "for j in _: _");
+  Q = *reorderLoops(at(Q, "for j in _: _"));
 
   EffectSets WarmEff = extractProc(Q);
 

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CursorAt.h"
 #include "backend/CodeGen.h"
 #include "frontend/Parser.h"
 #include "ir/Printer.h"
@@ -56,7 +57,7 @@ def scale(n: size, x: f32[n, 16]):
 
   // replace() unifies the no-op with the pass statement (trivially) and
   // inserts the call; codegen expands the annotation verbatim.
-  ProcRef Q = *replaceWith(*P, "pass", 1, Omp);
+  ProcRef Q = *replaceWith(at(*P, "pass"), Omp);
   std::string Printed = printProc(Q);
   EXPECT_NE(Printed.find("omp_parallel_for()"), std::string::npos)
       << Printed;
@@ -92,9 +93,9 @@ def f(x: f32[8]):
 )",
                                Env);
   ASSERT_TRUE(bool(P));
-  ProcRef Q = *replaceWith(*P, "pass", 1, Env.findProc("fence"));
+  ProcRef Q = *replaceWith(at(*P, "pass"), Env.findProc("fence"));
   // Swapping the fence past the store must be provably safe.
-  auto R = reorderStmts(Q, "fence()");
+  auto R = reorderStmts(at(Q, "fence()"));
   ASSERT_TRUE(bool(R)) << R.error().str();
   EXPECT_EQ((*R)->body()[0]->kind(), StmtKind::Assign);
 }

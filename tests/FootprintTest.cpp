@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CursorAt.h"
 #include "analysis/Checks.h"
 #include "analysis/Context.h"
 
@@ -359,7 +360,7 @@ def f(x: R[8, 8], y: R[8, 8]):
                                Env);
   ASSERT_TRUE(bool(P)) << P.error().str();
   Sym InnerBefore = (*P)->body()[0]->body()[1]->name();
-  auto Q = scheduling::fissionAfter(*P, "x[_] = _");
+  auto Q = scheduling::fissionAfter(scheduling::at(*P, "x[_] = _"));
   ASSERT_TRUE(bool(Q)) << Q.error().str();
   ASSERT_EQ((*Q)->body().size(), 2u);
   const StmtRef &Moved = (*Q)->body()[1]->body()[0];

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CursorAt.h"
 #include "frontend/Parser.h"
 #include "ir/WellFormed.h"
 #include "scheduling/Pattern.h"
@@ -62,7 +63,7 @@ def inc_p(x: R[16, 8], y: R[16]):
             y[i] = x[i, j] + 0.0
 )",
                     &Env);
-  return must(bindConfig(P, "for i in _: _", "16", Env.findConfig("CfgInc"),
+  return must(bindConfig(at(P, "for i in _: _"), "16", Env.findConfig("CfgInc"),
                          "st"),
               "bind_config");
 }
@@ -77,7 +78,7 @@ TEST(WellFormed, AcceptsParsedAndScheduledProcedures) {
   frontend::ParseEnv Env;
   ProcRef P = configProc(Env);
   EXPECT_TRUE(wellFormednessErrors(*P).empty());
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 4, "io", "ii"), "split");
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 4, "io", "ii"), "split");
   EXPECT_TRUE(wellFormednessErrors(*Q).empty());
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     auto G = exo::testing::generateProgram(Seed);
@@ -145,7 +146,7 @@ TEST(WellFormed, FlagsUnresolvableDirtyRegion) {
 TEST(DirtyRegion, LeafRewriteRecordsANarrowResolvableRegion) {
   frontend::ParseEnv Env;
   ProcRef P = configProc(Env);
-  ProcRef Q = must(splitLoop(P, "for j in _: _", 2, "jo", "ji"), "split");
+  ProcRef Q = must(splitLoop(at(P, "for j in _: _"), 2, "jo", "ji"), "split");
   const auto &D = Q->dirtyRegion();
   ASSERT_TRUE(D.has_value()) << "scheduling ops must stamp a dirty region";
   EXPECT_FALSE(D->Whole) << "a cursored rewrite must not claim the whole proc";
@@ -172,9 +173,10 @@ TEST(DirtyRegion, WholeProcRewriteIsMarkedWhole) {
 TEST(Provenance, NestedRewritesKeepTheSpine) {
   frontend::ParseEnv Env;
   ProcRef P = configProc(Env);
-  ProcRef Q = must(splitLoop(P, "for j in _: _", 2, "jo", "ji"), "split");
-  ProcRef R = must(splitLoop(Q, "for ji in _: _", 2, "jio", "jii"), "split");
-  ProcRef S = must(unrollLoop(R, "for jii in _: _"), "unroll");
+  ProcRef Q = must(splitLoop(at(P, "for j in _: _"), 2, "jo", "ji"), "split");
+  ProcRef R =
+      must(splitLoop(at(Q, "for ji in _: _"), 2, "jio", "jii"), "split");
+  ProcRef S = must(unrollLoop(at(R, "for jii in _: _")), "unroll");
 
   // The parent chain of the final procedure walks back to the base.
   unsigned Links = 0;
@@ -210,11 +212,11 @@ def prov_p(x: R[16]):
         x[i] = 0.0
 )",
                     &Env);
-  ProcRef Q = must(bindConfig(P, "for i in _: _", "16",
+  ProcRef Q = must(bindConfig(at(P, "for i in _: _"), "16",
                               Env.findConfig("CfgProv"), "st"),
                    "bind_config");
   // A further structural rewrite on top keeps the accumulated delta.
-  ProcRef R = must(splitLoop(Q, "for i in _: _", 4, "io", "ii"), "split");
+  ProcRef R = must(splitLoop(at(Q, "for i in _: _"), 4, "io", "ii"), "split");
   auto Delta = equivalenceDelta(P, R);
   ASSERT_TRUE(Delta.has_value());
   ASSERT_EQ(Delta->size(), 1u);

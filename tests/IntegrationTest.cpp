@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CursorAt.h"
 #include "apps/Conv.h"
 #include "apps/GemminiMatmul.h"
 #include "apps/Sgemm.h"
@@ -21,7 +22,7 @@
 #include "hwlibs/avx512/Avx512Lib.h"
 #include "hwlibs/gemmini/GemminiLib.h"
 #include "ir/Printer.h"
-#include "scheduling/Schedule.h"
+#include "scheduling/Procedures.h"
 
 #include <gtest/gtest.h>
 
@@ -118,9 +119,9 @@ def tail_copy(m: size, dst: f32[16], src: f32[16]):
                                Env);
   ASSERT_TRUE(bool(P)) << P.error().str();
   using namespace exo::scheduling;
-  auto Q = replaceWith(*P, "for l in _: _", 1, AL.MaskzLoaduPs);
+  auto Q = replaceWith(at(*P, "for l in _: _"), AL.MaskzLoaduPs);
   ASSERT_TRUE(bool(Q)) << Q.error().str();
-  auto R = replaceWith(*Q, "for l2 in _: _", 1, AL.MaskStoreuPs);
+  auto R = replaceWith(at(*Q, "for l2 in _: _"), AL.MaskStoreuPs);
   ASSERT_TRUE(bool(R)) << R.error().str();
   std::string S = printProc(*R);
   EXPECT_NE(S.find("mm512_maskz_loadu_ps(m,"), std::string::npos) << S;
@@ -148,7 +149,7 @@ def f(x: R[8]):
 )",
                                Env);
   ASSERT_TRUE(bool(P)) << P.error().str();
-  auto Q = hoistStmtToTop(*P, "CfgH.v = _");
+  auto Q = hoistStmtToTop(at(*P, "CfgH.v = _"));
   EXPECT_FALSE(bool(Q)) << "iteration-dependent config must not hoist";
 }
 

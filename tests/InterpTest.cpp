@@ -14,6 +14,7 @@
 
 #include "interp/Interp.h"
 
+#include "CursorAt.h"
 #include "ir/Printer.h"
 #include "scheduling/Schedule.h"
 
@@ -221,33 +222,33 @@ TEST(ScheduleEquivalence, SplitPreservesSemantics) {
   for (SplitTail Tail :
        {SplitTail::Guard, SplitTail::Cut, SplitTail::Perfect}) {
     ProcRef Q =
-        must(splitLoop(P, "for i in _: _", 8, "io", "ii", Tail), "split");
+        must(splitLoop(at(P, "for i in _: _"), 8, "io", "ii", Tail), "split");
     expectSameResults(P, Q);
   }
   // A factor that does not divide 32 (Guard/Cut only).
   for (SplitTail Tail : {SplitTail::Guard, SplitTail::Cut}) {
     ProcRef Q =
-        must(splitLoop(P, "for j in _: _", 5, "jo", "ji", Tail), "split 5");
+        must(splitLoop(at(P, "for j in _: _"), 5, "jo", "ji", Tail), "split 5");
     expectSameResults(P, Q);
   }
 }
 
 TEST(ScheduleEquivalence, ReorderPreservesSemantics) {
   ProcRef P = mustParse(Gemm32);
-  ProcRef Q = must(reorderLoops(P, "for j in _: _"), "reorder");
+  ProcRef Q = must(reorderLoops(at(P, "for j in _: _")), "reorder");
   expectSameResults(P, Q);
-  ProcRef R = must(reorderLoops(Q, "for i in _: _"), "reorder 2");
+  ProcRef R = must(reorderLoops(at(Q, "for i in _: _")), "reorder 2");
   expectSameResults(P, R);
 }
 
 TEST(ScheduleEquivalence, StageMemPreservesSemantics) {
   ProcRef P = mustParse(Gemm32);
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 8, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 8, "io", "ii",
                              SplitTail::Perfect),
                    "split i");
-  Q = must(splitLoop(Q, "for k in _: _", 8, "ko", "ki", SplitTail::Perfect),
+  Q = must(splitLoop(at(Q, "for k in _: _"), 8, "ko", "ki", SplitTail::Perfect),
            "split k");
-  ProcRef R = must(stageMem(Q, "for ki in _: _", 1,
+  ProcRef R = must(stageMem(at(Q, "for ki in _: _"),
                             "A[8 * io : 8 * io + 8, 8 * ko : 8 * ko + 8]",
                             "a_tile"),
                    "stage A");
@@ -257,7 +258,7 @@ TEST(ScheduleEquivalence, StageMemPreservesSemantics) {
 TEST(ScheduleEquivalence, StageMemReducePreservesSemantics) {
   ProcRef P = mustParse(Gemm32);
   // Stage the C element accumulation across the k loop.
-  ProcRef Q = must(stageMem(P, "for k in _: _", 1, "C[i:i+1, j:j+1]", "acc"),
+  ProcRef Q = must(stageMem(at(P, "for k in _: _"), "C[i:i+1, j:j+1]", "acc"),
                    "stage C");
   expectSameResults(P, Q);
 }
@@ -265,12 +266,12 @@ TEST(ScheduleEquivalence, StageMemReducePreservesSemantics) {
 TEST(ScheduleEquivalence, ComposedPipelinePreservesSemantics) {
   // A deep pipeline: tile both loops, reorder, stage, unroll.
   ProcRef P = mustParse(Gemm32);
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 8, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 8, "io", "ii",
                              SplitTail::Perfect),
                    "split i");
-  Q = must(splitLoop(Q, "for j in _: _", 8, "jo", "ji", SplitTail::Perfect),
+  Q = must(splitLoop(at(Q, "for j in _: _"), 8, "jo", "ji", SplitTail::Perfect),
            "split j");
-  Q = must(reorderLoops(Q, "for ii in _: _"), "reorder ii/jo");
+  Q = must(reorderLoops(at(Q, "for ii in _: _")), "reorder ii/jo");
   Q = must(simplify(Q), "simplify");
   expectSameResults(P, Q);
 }
@@ -285,9 +286,9 @@ def f(A: R[32, 32], B: R[32, 32], C: R[32, 32]):
         for k in seq(0, 32):
             C[i, k] += B[i, k]
 )");
-  ProcRef Fissioned = must(fissionAfter(P, "for j in _: _"), "fission");
+  ProcRef Fissioned = must(fissionAfter(at(P, "for j in _: _")), "fission");
   expectSameResults(P, Fissioned);
-  ProcRef Fused = must(fuseLoops(Fissioned, "for i in _: _"), "fuse");
+  ProcRef Fused = must(fuseLoops(at(Fissioned, "for i in _: _")), "fuse");
   expectSameResults(P, Fused);
 }
 
@@ -299,7 +300,7 @@ def f(A: R[4, 4], B: R[4, 4], C: R[4, 4]):
         for j in seq(0, 4):
             C[i, j] += A[i, j] * B[j, i]
 )");
-  ProcRef Q = must(unrollLoop(P, "for i in _: _"), "unroll");
+  ProcRef Q = must(unrollLoop(at(P, "for i in _: _")), "unroll");
   expectSameResults(P, Q, 4);
 }
 
@@ -323,7 +324,7 @@ def f(A: R[32, 32], B: R[32, 32], C: R[32, 32]):
             C[i, j] = A[i, j] * 2.0
 )",
                         &Env);
-  ProcRef Q = must(configWriteAt(P, "for i in _: _", Cfg, "st",
+  ProcRef Q = must(configWriteAt(at(P, "for i in _: _"), Cfg, "st",
                                  "stride(A, 0)"),
                    "configwrite");
   expectSameResults(P, Q); // data identical
@@ -349,10 +350,10 @@ class TilingEquivalence
 TEST_P(TilingEquivalence, TiledGemmMatchesReference) {
   auto [TileI, TileJ] = GetParam();
   ProcRef P = mustParse(Gemm32);
-  ProcRef Q = must(splitLoop(P, "for i in _: _", TileI, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), TileI, "io", "ii",
                              SplitTail::Guard),
                    "split i");
-  Q = must(splitLoop(Q, "for j in _: _", TileJ, "jo", "ji",
+  Q = must(splitLoop(at(Q, "for j in _: _"), TileJ, "jo", "ji",
                      SplitTail::Guard),
            "split j");
   expectSameResults(P, Q);

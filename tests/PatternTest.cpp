@@ -82,20 +82,6 @@ def g(x: R[4]):
   EXPECT_FALSE(bool(Bad));
 }
 
-TEST(PatternTest, LoopPatternForRoundTrips) {
-  ProcRef P = mustParse(Nest);
-  for (const char *Pat :
-       {"for i in _: _", "for i in _: _ #1", "for j in _: _"}) {
-    auto C = findStmts(*P, Pat);
-    ASSERT_TRUE(bool(C)) << Pat;
-    std::string Again = loopPatternFor(*P, *C);
-    auto C2 = findStmts(*P, Again);
-    ASSERT_TRUE(bool(C2)) << Again;
-    EXPECT_EQ(C2->Begin, C->Begin);
-    EXPECT_EQ(C2->Path.size(), C->Path.size());
-  }
-}
-
 TEST(PatternTest, ScopeAtSeesEnclosingBindings) {
   ProcRef P = mustParse(Nest);
   auto C = findStmts(*P, "tmp[_] = _");

@@ -15,6 +15,7 @@
 
 #include "scheduling/Schedule.h"
 
+#include "CursorAt.h"
 #include "backend/CodeGen.h"
 #include "frontend/Parser.h"
 #include "ir/Printer.h"
@@ -57,9 +58,9 @@ TEST(ScheduleFacadeTest, LoopPatternExpansion) {
 TEST(ScheduleFacadeTest, ChainMatchesFreeFunctions) {
   ProcRef P = parseGemm();
 
-  ProcRef ByHand = *splitLoop(P, "for i in _: _", 8, "io", "ii",
+  ProcRef ByHand = *splitLoop(at(P, "for i in _: _"), 8, "io", "ii",
                               SplitTail::Perfect);
-  ByHand = *reorderLoops(ByHand, "for ii in _: _");
+  ByHand = *reorderLoops(at(ByHand, "for ii in _: _"));
   ByHand = *simplify(ByHand);
 
   Schedule S(P);
@@ -122,7 +123,7 @@ TEST(ScheduleFacadeTest, RenameAndApply) {
   Schedule S(parseGemm());
   S.rename("gemm_tiled").apply(
       [](const ProcRef &P) -> Expected<ProcRef> {
-        return splitLoop(P, "for i in _: _", 4, "io", "ii",
+        return splitLoop(at(P, "for i in _: _"), 4, "io", "ii",
                          SplitTail::Guard);
       },
       "my_split");

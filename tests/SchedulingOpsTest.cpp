@@ -12,8 +12,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "scheduling/Schedule.h"
+#include "scheduling/Procedures.h"
 
+#include "CursorAt.h"
 #include "backend/CodeGen.h"
 
 #include "hwlibs/avx512/Avx512Lib.h"
@@ -67,7 +68,7 @@ def f(x: R[16, 8], y: R[16]):
   // Bind stride(x, 0)... the statement must contain the control expr;
   // use a loop bound instead: bind the literal upper bound through the
   // config (a contrived but legal §2-style rewrite).
-  ProcRef Q = must(bindConfig(P, "for i in _: _", "16", Cfg, "st"),
+  ProcRef Q = must(bindConfig(at(P, "for i in _: _"), "16", Cfg, "st"),
                    "bind_config");
   ASSERT_EQ(Q->body()[0]->kind(), StmtKind::WriteConfig);
   std::string S = printProc(Q);
@@ -95,7 +96,7 @@ def f(x: R[16], y: R[16]):
     y[CfgBC2.st] = 2.0
 )",
                         &Env);
-  EXPECT_FALSE(bool(bindConfig(P, "for i in _: _", "16", Cfg, "st")));
+  EXPECT_FALSE(bool(bindConfig(at(P, "for i in _: _"), "16", Cfg, "st")));
 }
 
 TEST(SchedulingOpsTest, LiftAllocThroughTwoLoops) {
@@ -108,7 +109,7 @@ def f(x: R[4, 4]):
             t = x[i, j]
             x[i, j] = t * 2.0
 )");
-  ProcRef Q = must(liftAlloc(P, "t : _", 2), "lift_alloc x2");
+  ProcRef Q = must(liftAlloc(at(P, "t : _"), 2), "lift_alloc x2");
   ASSERT_EQ(Q->body().size(), 2u);
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::Alloc);
   EXPECT_EQ(Q->body()[1]->kind(), StmtKind::For);
@@ -120,7 +121,7 @@ def g(n: size, x: R[n]):
         t : R[i + 1]
         t[0] = x[i]
 )");
-  EXPECT_FALSE(bool(liftAlloc(Bad, "t : _", 1)));
+  EXPECT_FALSE(bool(liftAlloc(at(Bad, "t : _"), 1)));
 }
 
 TEST(SchedulingOpsTest, MoveStmtUpChecksCommutes) {
@@ -130,7 +131,7 @@ def f(x: R[8], y: R[8]):
     x[0] = 1.0
     y[0] = 2.0
 )");
-  ProcRef Q = must(moveStmtUp(P, "y[_] = _"), "move_stmt_up");
+  ProcRef Q = must(moveStmtUp(at(P, "y[_] = _")), "move_stmt_up");
   EXPECT_EQ(Q->body()[0]->name().name(), "y");
   ProcRef Bad = mustParse(R"(
 @proc
@@ -138,7 +139,7 @@ def g(x: R[8], y: R[8]):
     x[0] = 1.0
     y[0] = x[0]
 )");
-  EXPECT_FALSE(bool(moveStmtUp(Bad, "y[_] = _")));
+  EXPECT_FALSE(bool(moveStmtUp(at(Bad, "y[_] = _"))));
 }
 
 TEST(SchedulingOpsTest, DeletePassPrunesMarkers) {
@@ -174,7 +175,7 @@ def f(x: R[8, 8], y: R[8, 8]):
             y[i, j] = x[i, j] * 2.0
 )",
                         &Env);
-  ProcRef Q = must(hoistStmtToTop(P, "CfgHC.st = _"), "hoist");
+  ProcRef Q = must(hoistStmtToTop(at(P, "CfgHC.st = _")), "hoist");
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::WriteConfig);
   // Exactly one write remains, before all loops.
   std::string S = printProc(Q);
@@ -216,7 +217,7 @@ def f(x: R[64], y: R[64]):
 )",
                         &Env);
   unsigned Mark = Sym::fresh("mark").id();
-  ProcRef Q = must(hoistStmtToTop(P, "CfgHD.st = _"), "hoist");
+  ProcRef Q = must(hoistStmtToTop(at(P, "CfgHD.st = _")), "hoist");
   unsigned Minted = Sym::fresh("mark").id() - Mark - 1;
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::WriteConfig);
   EXPECT_LE(Minted, 12u) << Minted << " Syms minted";
@@ -246,10 +247,10 @@ def scale(x: f32[24], y: f32[24]):
         y[16 + t2] = tail[t2]
 )",
                         &Env);
-  ProcRef Q = must(replaceWith(P, "for j in _: _", 1, HW.LoaduPs), "loadu");
-  Q = must(replaceWith(Q, "for j2 in _: _", 1, HW.StoreuPs), "storeu");
-  Q = must(replaceWith(Q, "for t in _: _", 1, HW.MaskzLoaduPs), "maskz");
-  Q = must(replaceWith(Q, "for t2 in _: _", 1, HW.MaskStoreuPs), "masks");
+  ProcRef Q = must(replaceWith(at(P, "for j in _: _"), HW.LoaduPs), "loadu");
+  Q = must(replaceWith(at(Q, "for j2 in _: _"), HW.StoreuPs), "storeu");
+  Q = must(replaceWith(at(Q, "for t in _: _"), HW.MaskzLoaduPs), "maskz");
+  Q = must(replaceWith(at(Q, "for t2 in _: _"), HW.MaskStoreuPs), "masks");
   std::string S = printProc(Q);
   EXPECT_NE(S.find("mm512_loadu_ps("), std::string::npos) << S;
   EXPECT_NE(S.find("mm512_maskz_loadu_ps(8,"), std::string::npos) << S;
@@ -290,13 +291,13 @@ def f(x: R[20]):
     body(20, x[0:20])
 )",
                         &Env);
-  ProcRef Inlined = must(inlineCall(P, "body(_)"), "inline");
-  ProcRef Split = must(partitionLoop(Inlined, "for i in _: _", 16),
+  ProcRef Inlined = must(inlineCall(at(P, "body(_)")), "inline");
+  ProcRef Split = must(partitionLoop(at(Inlined, "for i in _: _"), 16),
                        "partition");
   ASSERT_EQ(Split->body().size(), 2u);
   // Specialize: unroll the 4-iteration tail, keep it as an equivalent
   // subprocedure via the provenance lattice.
-  ProcRef Tail = must(unrollLoop(Split, "for i in _: _ #1"), "unroll tail");
+  ProcRef Tail = must(unrollLoop(at(Split, "for i in _: _ #1")), "unroll tail");
   std::string S = printProc(Tail);
   EXPECT_NE(S.find("x[16] = 1.0"), std::string::npos) << S;
   EXPECT_NE(S.find("x[19] = 1.0"), std::string::npos) << S;
@@ -316,7 +317,7 @@ def f(x: R[32], y: R[32]):
 )");
   ProcRef Q = must(setPrecision(P, "x", ScalarKind::I8), "set x");
   Q = must(setPrecision(Q, "y", ScalarKind::I8), "set y");
-  Q = must(splitLoop(Q, "for i in _: _", 8, "io", "ii",
+  Q = must(splitLoop(at(Q, "for i in _: _"), 8, "io", "ii",
                      SplitTail::Perfect),
            "split");
   std::string S = printProc(Q);

@@ -6,6 +6,7 @@
 
 #include "scheduling/Schedule.h"
 
+#include "CursorAt.h"
 #include "ir/Printer.h"
 
 #include <gtest/gtest.h>
@@ -44,7 +45,7 @@ def gemm(A: R[128, 128], B: R[128, 128], C: R[128, 128]):
 
 TEST(SchedulingTest, SplitPerfectProducesTiledLoop) {
   ProcRef P = mustParse(Gemm128);
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 16, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 16, "io", "ii",
                              SplitTail::Perfect),
                    "split");
   std::string S = printProc(Q);
@@ -60,7 +61,8 @@ def f(n: size, x: R[n]):
     for i in seq(0, n):
         x[i] = 0.0
 )");
-  auto Q = splitLoop(P, "for i in _: _", 16, "io", "ii", SplitTail::Perfect);
+  auto Q =
+      splitLoop(at(P, "for i in _: _"), 16, "io", "ii", SplitTail::Perfect);
   EXPECT_FALSE(bool(Q)) << "n is not provably divisible by 16";
 }
 
@@ -71,7 +73,7 @@ def f(n: size, x: R[n]):
     for i in seq(0, n):
         x[i] = 0.0
 )");
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 16, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 16, "io", "ii",
                              SplitTail::Guard),
                    "split guard");
   std::string S = printProc(Q);
@@ -85,7 +87,7 @@ def f(n: size, x: R[n]):
     for i in seq(0, n):
         x[i] = 0.0
 )");
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 16, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 16, "io", "ii",
                              SplitTail::Cut),
                    "split cut");
   std::string S = printProc(Q);
@@ -95,7 +97,7 @@ def f(n: size, x: R[n]):
 
 TEST(SchedulingTest, ReorderIndependentLoops) {
   ProcRef P = mustParse(Gemm128);
-  ProcRef Q = must(reorderLoops(P, "for j in _: _"), "reorder j,k");
+  ProcRef Q = must(reorderLoops(at(P, "for j in _: _")), "reorder j,k");
   std::string S = printProc(Q);
   // After reordering j and k, the k loop is outside the j loop.
   size_t KPos = S.find("for k in");
@@ -115,7 +117,7 @@ def f(x: R[8, 8]):
         for j in seq(0, 8):
             x[i, 0] = x[j, 0] + 1.0
 )");
-  auto Q = reorderLoops(P, "for i in _: _");
+  auto Q = reorderLoops(at(P, "for i in _: _"));
   EXPECT_FALSE(bool(Q));
 }
 
@@ -126,7 +128,7 @@ def f(x: R[4]):
     for i in seq(0, 4):
         x[i] = 1.0
 )");
-  ProcRef Q = must(unrollLoop(P, "for i in _: _"), "unroll");
+  ProcRef Q = must(unrollLoop(at(P, "for i in _: _")), "unroll");
   std::string S = printProc(Q);
   EXPECT_EQ(S.find("for"), std::string::npos) << S;
   EXPECT_NE(S.find("x[0] = 1.0"), std::string::npos) << S;
@@ -141,13 +143,13 @@ def f(x: R[10]):
     for i in seq(0, 10):
         x[i] = 1.0
 )");
-  ProcRef Q = must(partitionLoop(P, "for i in _: _", 6), "partition");
+  ProcRef Q = must(partitionLoop(at(P, "for i in _: _"), 6), "partition");
   ASSERT_EQ(Q->body().size(), 2u);
   std::string S = printProc(Q);
   EXPECT_NE(S.find("seq(0, 6)"), std::string::npos) << S;
   EXPECT_NE(S.find("seq(6, 10)"), std::string::npos) << S;
   // Cut beyond the extent must fail.
-  EXPECT_FALSE(bool(partitionLoop(P, "for i in _: _", 11)));
+  EXPECT_FALSE(bool(partitionLoop(at(P, "for i in _: _"), 11)));
 }
 
 TEST(SchedulingTest, FuseLoopsWithEqualBounds) {
@@ -159,7 +161,7 @@ def f(x: R[8], y: R[8]):
     for j in seq(0, 8):
         y[j] = 2.0
 )");
-  ProcRef Q = must(fuseLoops(P, "for i in _: _"), "fuse");
+  ProcRef Q = must(fuseLoops(at(P, "for i in _: _")), "fuse");
   ASSERT_EQ(Q->body().size(), 1u);
   EXPECT_EQ(Q->body()[0]->body().size(), 2u);
 }
@@ -174,7 +176,7 @@ def f(x: R[10], y: R[8]):
     for j in seq(0, 8):
         y[j] = x[j + 2] + 0.0
 )");
-  auto Q = fuseLoops(P, "for i in _: _");
+  auto Q = fuseLoops(at(P, "for i in _: _"));
   EXPECT_FALSE(bool(Q)) << "after fusion iteration j would read x[j+2] "
                            "before iteration j+1 writes it";
 }
@@ -187,7 +189,7 @@ def f(n: size, b: bool, x: R[n]):
         if b:
             x[i] = 1.0
 )");
-  ProcRef Q = must(liftIf(P, "if _: _"), "lift_if");
+  ProcRef Q = must(liftIf(at(P, "if _: _")), "lift_if");
   ASSERT_EQ(Q->body()[0]->kind(), StmtKind::If);
   EXPECT_EQ(Q->body()[0]->body()[0]->kind(), StmtKind::For);
 }
@@ -199,7 +201,7 @@ def f(x: R[8], y: R[8]):
     x[0] = 1.0
     y[0] = 2.0
 )");
-  ProcRef Q = must(reorderStmts(P, "x[_] = _"), "reorder_stmts");
+  ProcRef Q = must(reorderStmts(at(P, "x[_] = _")), "reorder_stmts");
   EXPECT_EQ(Q->body()[0]->name().name(), "y");
 
   ProcRef Bad = mustParse(R"(
@@ -208,7 +210,7 @@ def g(x: R[8], y: R[8]):
     x[0] = 1.0
     y[0] = x[0]
 )");
-  EXPECT_FALSE(bool(reorderStmts(Bad, "x[_] = _")));
+  EXPECT_FALSE(bool(reorderStmts(at(Bad, "x[_] = _"))));
 }
 
 TEST(SchedulingTest, FissionSplitsLoop) {
@@ -219,7 +221,7 @@ def f(n: size, x: R[n], y: R[n]):
         x[i] = 1.0
         y[i] = 2.0
 )");
-  ProcRef Q = must(fissionAfter(P, "x[_] = _"), "fission");
+  ProcRef Q = must(fissionAfter(at(P, "x[_] = _")), "fission");
   ASSERT_EQ(Q->body().size(), 2u);
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::For);
   EXPECT_EQ(Q->body()[1]->kind(), StmtKind::For);
@@ -236,7 +238,7 @@ def f(x: R[10], y: R[8]):
         y[i] = x[i] + 1.0
         x[i + 1] = 2.0
 )");
-  EXPECT_FALSE(bool(fissionAfter(P, "y[_] = _")));
+  EXPECT_FALSE(bool(fissionAfter(at(P, "y[_] = _"))));
 }
 
 TEST(SchedulingTest, RemoveLoopOfIdempotentBody) {
@@ -246,7 +248,7 @@ def f(x: R[8]):
     for i in seq(0, 4):
         x[0] = 3.0
 )");
-  ProcRef Q = must(removeLoop(P, "for i in _: _"), "remove_loop");
+  ProcRef Q = must(removeLoop(at(P, "for i in _: _")), "remove_loop");
   ASSERT_EQ(Q->body().size(), 1u);
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::Assign);
 }
@@ -258,7 +260,7 @@ def f(x: R[8]):
     for i in seq(0, 4):
         x[0] += 3.0
 )");
-  EXPECT_FALSE(bool(removeLoop(P, "for i in _: _")));
+  EXPECT_FALSE(bool(removeLoop(at(P, "for i in _: _"))));
   // Possibly-empty loops must also be rejected.
   ProcRef Maybe = mustParse(R"(
 @proc
@@ -266,7 +268,7 @@ def g(n: size, x: R[8]):
     for i in seq(0, n):
         x[0] = 3.0
 )");
-  EXPECT_FALSE(bool(removeLoop(Maybe, "for i in _: _")));
+  EXPECT_FALSE(bool(removeLoop(at(Maybe, "for i in _: _"))));
 }
 
 TEST(SchedulingTest, LiftAllocOutOfLoop) {
@@ -278,7 +280,7 @@ def f(n: size, x: R[n]):
         tmp = x[i]
         x[i] = tmp + 1.0
 )");
-  ProcRef Q = must(liftAlloc(P, "tmp : _"), "lift_alloc");
+  ProcRef Q = must(liftAlloc(at(P, "tmp : _")), "lift_alloc");
   ASSERT_EQ(Q->body().size(), 2u);
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::Alloc);
   EXPECT_EQ(Q->body()[1]->kind(), StmtKind::For);
@@ -291,7 +293,7 @@ def f(x: R[8], y: R[8]):
     for i in seq(0, 8):
         y[i] = x[i] * 2.0 + x[i] * 2.0
 )");
-  ProcRef Q = must(bindExpr(P, "y[_] = _", "x[i] * 2.0", "t"), "bind_expr");
+  ProcRef Q = must(bindExpr(at(P, "y[_] = _"), "x[i] * 2.0", "t"), "bind_expr");
   const Block &LoopBody = Q->body()[0]->body();
   ASSERT_EQ(LoopBody.size(), 3u);
   EXPECT_EQ(LoopBody[0]->kind(), StmtKind::Alloc);
@@ -308,24 +310,24 @@ def f(n: size, x: R[n]):
     for i in seq(0, 4):
         x[i] = 1.0
 )");
-  ProcRef Q = must(addGuard(P, "x[_] = _", "i < n"), "add_guard");
+  ProcRef Q = must(addGuard(at(P, "x[_] = _"), "i < n"), "add_guard");
   EXPECT_EQ(Q->body()[0]->body()[0]->kind(), StmtKind::If);
-  EXPECT_FALSE(bool(addGuard(P, "x[_] = _", "i < 2")));
+  EXPECT_FALSE(bool(addGuard(at(P, "x[_] = _"), "i < 2")));
 }
 
 TEST(SchedulingTest, StageMemReadOnly) {
   ProcRef P = mustParse(Gemm128);
   // Tile i and k, then stage the A tile.
-  ProcRef Q = must(splitLoop(P, "for i in _: _", 16, "io", "ii",
+  ProcRef Q = must(splitLoop(at(P, "for i in _: _"), 16, "io", "ii",
                              SplitTail::Perfect),
                    "split i");
-  Q = must(splitLoop(Q, "for k in _: _", 16, "ko", "ki",
+  Q = must(splitLoop(at(Q, "for k in _: _"), 16, "ko", "ki",
                      SplitTail::Perfect),
            "split k");
   // Move loops: io, ii, j, ko, ki — reorder to io, j, ko, ii, ki is not
   // needed; stage A[16*io:16*io+16, 16*ko:16*ko+16] around the ki loop's
   // enclosing ko body. Select the "for ki" loop statement.
-  ProcRef R = must(stageMem(Q, "for ki in _: _", 1,
+  ProcRef R = must(stageMem(at(Q, "for ki in _: _"),
                             "A[16 * io : 16 * io + 16, 16 * ko : 16 * ko + "
                             "16]",
                             "a_tile", "DRAM"),
@@ -345,7 +347,7 @@ def f(n: size, c: R[8]):
         for k in seq(0, n):
             c[i] += 1.0
 )");
-  ProcRef Q = must(stageMem(P, "for k in _: _", 1, "c[i:i+1]", "acc"),
+  ProcRef Q = must(stageMem(at(P, "for k in _: _"), "c[i:i+1]", "acc"),
                    "stage reduce");
   std::string S = printProc(Q);
   // Zero-initialized stage, reduction into it, and += on the way out.
@@ -361,7 +363,7 @@ def f(x: R[16], y: R[16]):
     for i in seq(0, 16):
         y[i] = x[i] + 0.0
 )");
-  auto Q = stageMem(P, "for i in _: _", 1, "x[0:8]", "xs");
+  auto Q = stageMem(at(P, "for i in _: _"), "x[0:8]", "xs");
   EXPECT_FALSE(bool(Q)) << "accesses x[8..15] fall outside the window";
 }
 
@@ -399,7 +401,7 @@ def f(x: R[16]):
     zero(8, x[4:12])
 )",
                         &Env);
-  ProcRef Q = must(inlineCall(P, "zero(_)"), "inline");
+  ProcRef Q = must(inlineCall(at(P, "zero(_)")), "inline");
   std::string S = printProc(Q);
   EXPECT_EQ(S.find("zero("), std::string::npos) << S;
   EXPECT_NE(S.find("x[4 + i] = 0.0"), std::string::npos) << S;
@@ -417,7 +419,7 @@ def work(x: [R][8]):
   ASSERT_TRUE(bool(Lib));
   ProcRef Work = Env.findProc("work");
   // Derive an equivalent scheduled version.
-  ProcRef Fast = must(unrollLoop(Work, "for i in _: _"), "unroll");
+  ProcRef Fast = must(unrollLoop(at(Work, "for i in _: _")), "unroll");
   auto Delta = equivalenceDelta(Work, Fast);
   ASSERT_TRUE(Delta.has_value());
   EXPECT_TRUE(Delta->empty());
@@ -428,7 +430,7 @@ def f(y: R[8]):
     work(y[0:8])
 )",
                         &Env);
-  ProcRef Q = must(callEqv(P, "work(_)", Fast), "call_eqv");
+  ProcRef Q = must(callEqv(at(P, "work(_)"), Fast), "call_eqv");
   EXPECT_EQ(Q->body()[0]->proc().get(), Fast.get());
 
   // An unrelated proc must be rejected.
@@ -438,7 +440,7 @@ def other(x: [R][8]):
     for i in seq(0, 8):
         x[i] = 1.0
 )");
-  EXPECT_FALSE(bool(callEqv(P, "work(_)", Stranger)));
+  EXPECT_FALSE(bool(callEqv(at(P, "work(_)"), Stranger)));
 }
 
 TEST(SchedulingTest, ConfigWriteAtPollutesProvenance) {
@@ -459,7 +461,7 @@ def f(src: R[16, 16], dst: R[16, 16]):
             dst[i, j] = src[i, j]
 )",
                         &Env);
-  ProcRef Q = must(configWriteAt(P, "for i in _: _", Cfg, "st",
+  ProcRef Q = must(configWriteAt(at(P, "for i in _: _"), Cfg, "st",
                                  "stride(src, 0)"),
                    "configwrite_at");
   EXPECT_EQ(Q->body()[0]->kind(), StmtKind::WriteConfig);
@@ -487,7 +489,7 @@ def f(x: R[16], y: R[16]):
     y[CfgB.st] = 2.0
 )",
                         &Env);
-  auto Q = configWriteAt(P, "for i in _: _", Cfg, "st", "3");
+  auto Q = configWriteAt(at(P, "for i in _: _"), Cfg, "st", "3");
   EXPECT_FALSE(bool(Q)) << "the field is read afterwards";
 }
 
@@ -528,7 +530,7 @@ def stage(A: R[128, 128], buf: R[16, 16] @ SCRATCH):
                     buf[ii, ki] = A[16 * io + ii, 16 * ko + ki]
 )",
                         &Env);
-  ProcRef Q = must(replaceWith(P, "for ii in _: _", 1, Ld), "replace");
+  ProcRef Q = must(replaceWith(at(P, "for ii in _: _"), Ld), "replace");
   std::string S = printProc(Q);
   EXPECT_NE(S.find("ld16("), std::string::npos) << S;
   // The inferred window of A must be the io/ko tile.
@@ -557,7 +559,7 @@ def f(x: R[8, 8], y: R[8]):
         y[i] = x[i, 3]
 )",
                         &Env);
-  ProcRef Q = must(replaceWith(P, "for i in _: _", 1, Copy), "replace col");
+  ProcRef Q = must(replaceWith(at(P, "for i in _: _"), Copy), "replace col");
   std::string S = printProc(Q);
   EXPECT_NE(S.find("copy8(y[0:8], x[0:8, 3])"), std::string::npos) << S;
 }
@@ -581,7 +583,7 @@ def f(x: R[8], y: R[8]):
         y[i] = x[i]
 )",
                         &Env);
-  auto Q = replaceWith(P, "for i in _: _", 1, Copy);
+  auto Q = replaceWith(at(P, "for i in _: _"), Copy);
   EXPECT_FALSE(bool(Q)) << "n = 8 violates the assert n <= 4";
 }
 
@@ -603,7 +605,7 @@ def f(x: R[8], y: R[8]):
         y[i] = x[i]
 )",
                         &Env);
-  EXPECT_FALSE(bool(replaceWith(P, "for i in _: _", 1, Axpy)))
+  EXPECT_FALSE(bool(replaceWith(at(P, "for i in _: _"), Axpy)))
       << "assignment vs reduction must not unify";
 }
 
@@ -654,8 +656,7 @@ def loads(A: R[128, 128], buf: R[16, 16]):
                           &Env);
 
   // 1. replace the config write with the config instruction.
-  ProcRef S1 = must(replaceWith(App, "ConfigLoad.src_stride = _", 1,
-                                ConfigLd),
+  ProcRef S1 = must(replaceWith(at(App, "ConfigLoad.src_stride = _"), ConfigLd),
                     "replace config write");
   EXPECT_NE(printProc(S1).find("config_ld_def(stride(A, 0))"),
             std::string::npos)
@@ -664,16 +665,16 @@ def loads(A: R[128, 128], buf: R[16, 16]):
   // 2. replace the load loop nest with the mvin instruction — its
   //    precondition about ConfigLoad.src_stride is provable thanks to the
   //    dataflow through the config call.
-  ProcRef S2 = must(replaceWith(S1, "for i in _: _", 1, RealLd),
+  ProcRef S2 = must(replaceWith(at(S1, "for i in _: _"), RealLd),
                     "replace load");
   EXPECT_NE(printProc(S2).find("real_ld_data(16, 16,"), std::string::npos)
       << printProc(S2);
 
   // 3. fission the config call from the load call.
-  ProcRef S3 = must(fissionAfter(S2, "config_ld_def(_)"), "fission");
+  ProcRef S3 = must(fissionAfter(at(S2, "config_ld_def(_)")), "fission");
 
   // 4. remove the now-redundant loop around the config call.
-  ProcRef S4 = must(removeLoop(S3, "for ko in _: _"), "remove_loop");
+  ProcRef S4 = must(removeLoop(at(S3, "for ko in _: _")), "remove_loop");
   std::string Final = printProc(S4);
   // The config instruction now executes once, before the load loop.
   size_t CfgPos = Final.find("config_ld_def");

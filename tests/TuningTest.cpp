@@ -422,6 +422,55 @@ TEST(Tuner, WinningTraceReplaysToTheReportedScore) {
   EXPECT_EQ(E.SimCycles, R.Best.Eval.SimCycles);
 }
 
+TEST(Tuner, CommittedBestTraceTokensReplay) {
+  // The best trace `exocc-tune --seed 1` reports for gemmini_matmul
+  // 128x128x128 (BENCH_autotune.json), as literal trace lines. Traces in
+  // corpora and tuner reports persist as text, so these tokens must keep
+  // applying step for step, to the same schedule.
+  const char *const Trace[] = {
+      "split|k|16|ko|ki|perfect",
+      "tile2d|i|16|16|io|ii|jo|ji|perfect",
+      "stage_vec|for jo in _: _|A[16 * io : 16 * io + 16, 0 : 128]|a_panel|"
+      "GEMM_SCRATCH|16|lv|ll",
+      "reorder|i0",
+      "config_write|for lv in _: _|gemmini:cfg_ld1|src_stride|stride(A, 0)",
+      "replace|for i0 in _: _|1|gemmini:ld_data",
+      "stage|for ko in _: _|1|C[16 * io : 16 * io + 16, 16 * jo : 16 * jo + "
+      "16]|res|GEMM_ACC",
+      "stage|for ii in _: _|1|B[16 * ko : 16 * ko + 16, 16 * jo : 16 * jo + "
+      "16]|b_tile|GEMM_SCRATCH",
+      "replace|for i0 in _: _ #0|1|gemmini:zero_acc",
+      "config_write|for i0 in _: _ #0|gemmini:cfg_ld2|src_stride|"
+      "stride(B, 0)",
+      "replace|for i0 in _: _ #0|1|gemmini:ld_data2",
+      "replace|for ii in _: _|1|gemmini:matmul16",
+      "config_write|for i0 in _: _ #0|gemmini:cfg_st|dst_stride|"
+      "stride(C, 0)",
+      "replace|for i0 in _: _ #0|1|gemmini:st_acc",
+      "replace|ConfigLd1.src_stride = _|1|gemmini:config_ld1",
+      "replace|ConfigLd2.src_stride = _|1|gemmini:config_ld2",
+      "replace|ConfigSt.dst_stride = _|1|gemmini:config_st",
+      "hoist|gemmini_config_ld1(_)",
+      "hoist|gemmini_config_ld2(_)",
+      "hoist|gemmini_config_st(_)",
+  };
+  std::vector<ScheduleStep> Steps;
+  for (const char *Line : Trace) {
+    auto S = ScheduleStep::parse(Line);
+    ASSERT_TRUE(S) << Line << ": " << S.error().str();
+    EXPECT_EQ(S->str(), Line);
+    Steps.push_back(*S);
+  }
+  KernelShape Shape;
+  auto Space = buildSearchSpace("gemmini_matmul", Shape);
+  ASSERT_TRUE(Space) << Space.error().str();
+  auto P = applyTrace(Space->Algorithm, Steps);
+  ASSERT_TRUE(P) << P.error().str();
+  EvalResult E = CostModel(Shape, Metric::SimCycles).evaluate(*P);
+  ASSERT_TRUE(E.Ok) << E.FailStage << ": " << E.Detail;
+  EXPECT_EQ(E.SimCycles, 14866u);
+}
+
 TEST(Tuner, UnknownKernelFailsCleanly) {
   TuneOptions O;
   O.Kernel = "no_such_kernel";
