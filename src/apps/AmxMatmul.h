@@ -7,10 +7,10 @@
 /// \file
 /// The same MATMUL case study retargeted to the second accelerator
 /// library (the AMX-style tile engine) — the paper's §3.2 retargeting
-/// claim made concrete: one naive three-loop algorithm, a schedule that
-/// only names AMX library objects, and zero core-compiler changes.
-/// Produces the per-tile-config shape and the config-hoisted shape, like
-/// apps/GemminiMatmul does for Gemmini.
+/// claim made concrete: one naive three-loop algorithm, the same
+/// accelerator-matmul schedule as Gemmini's (AccelMatmul.h) with AMX
+/// library objects in its hardware table, and zero core-compiler changes.
+/// Produces the per-tile-config shape and the config-hoisted shape.
 ///
 //===----------------------------------------------------------------------===//
 

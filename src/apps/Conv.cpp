@@ -6,6 +6,7 @@
 
 #include "apps/Conv.h"
 
+#include "apps/GemminiMatmul.h"
 #include "hwlibs/avx512/Avx512Lib.h"
 #include "hwlibs/gemmini/GemminiLib.h"
 #include "scheduling/Schedule.h"
@@ -65,9 +66,7 @@ Expected<ConvKernels> exo::apps::buildConvX86(const ConvShape &Shape) {
   if (Shape.OC % 16)
     return makeError(Error::Kind::Scheduling, "conv x86 needs OC % 16 == 0");
   const auto &HW = hw::avx512::avx512Lib();
-
-  frontend::ParseEnv Env = HW.Env;
-  auto Alg = frontend::parseProc(convSource(Shape, /*WithRelu=*/true), Env);
+  auto Alg = buildConvX86Algorithm(Shape);
   if (!Alg)
     return Alg.error();
 
@@ -113,9 +112,7 @@ Expected<ConvKernels> exo::apps::buildConvGemmini(const ConvShape &Shape,
     return makeError(Error::Kind::Scheduling,
                      "conv gemmini needs ow() divisible by RowTile <= 16");
   const auto &HW = hw::gemmini::gemminiLib();
-
-  frontend::ParseEnv Env = HW.Env;
-  auto Alg = frontend::parseProc(convSource(Shape, /*WithRelu=*/false), Env);
+  auto Alg = buildConvGemminiAlgorithm(Shape);
   if (!Alg)
     return Alg.error();
 
@@ -176,21 +173,14 @@ Expected<ConvKernels> exo::apps::buildConvGemmini(const ConvShape &Shape,
       .reorder("i0 #0")
       .configWriteAt("for i0 in _: _ #0", HW.CfgSt, "dst_stride",
                      "stride(y, 2)")
-      .replaceWith("for i0 in _: _ #0", 1, HW.StAcc)
-      .replaceWith("ConfigLd1.src_stride = _", 1, HW.ConfigLd1)
-      .replaceWith("ConfigLd2.src_stride = _", 1, HW.ConfigLd2)
-      .replaceWith("ConfigSt.dst_stride = _", 1, HW.ConfigSt);
-  if (!Sch)
+      .replaceWith("for i0 in _: _ #0", 1, HW.StAcc);
+  ConfigChannels Configs = gemminiConfigChannels();
+  if (!replaceConfigWrites(Sch, Configs))
     return Sch.error();
-  Out.OldLib = renameProc(Sch.proc().take("conv gemmini schedule"),
-                          "gemmini_conv_old");
+  Out.OldLib = renameProc(*Sch.proc(), "gemmini_conv_old");
 
   // Hoist all configuration to the top (the Exo schedule).
-  Sch.hoistToTop("gemmini_config_ld1(_)")
-      .hoistToTop("gemmini_config_ld2(_)")
-      .hoistToTop("gemmini_config_st(_)")
-      .rename("gemmini_conv_exo");
-  if (!Sch)
+  if (!hoistConfigs(Sch, Configs).rename("gemmini_conv_exo"))
     return Sch.error();
   Out.ScheduleSteps = Sch.steps();
   Out.Scheduled = Sch.take("conv gemmini schedule");

@@ -14,6 +14,8 @@
 ///   * ExoLib — the paper's Exo schedule: identical structure with all
 ///     configuration writes hoisted to the top of the kernel.
 ///
+/// Both come from the shared accelerator-matmul schedule (AccelMatmul.h)
+/// with the Gemmini library's objects filled into its hardware table.
 /// The "Hardware" bars of Fig. 4a run the ExoLib instruction stream with
 /// the simulator's dynamically-scheduled (perfect-overlap) mode.
 ///
@@ -22,8 +24,7 @@
 #ifndef EXO_APPS_GEMMINIMATMUL_H
 #define EXO_APPS_GEMMINIMATMUL_H
 
-#include "ir/Proc.h"
-#include "support/Error.h"
+#include "apps/AccelMatmul.h"
 
 namespace exo {
 namespace apps {
@@ -41,6 +42,10 @@ struct GemminiMatmulKernels {
 /// workload. N, M, K must be positive multiples of 16.
 Expected<GemminiMatmulKernels> buildGemminiMatmul(int64_t N, int64_t M,
                                                   int64_t K);
+
+/// Gemmini's mvin-1, mvin-2 and mvout configuration channels (shared with
+/// the Gemmini conv's configuration hoist).
+ConfigChannels gemminiConfigChannels();
 
 /// Parses just the unscheduled algorithm (no scheduling, no solver
 /// queries) — the --fallback-reference degradation target.

@@ -6,6 +6,7 @@
 
 #include "apps/Sgemm.h"
 
+#include "apps/AccelMatmul.h"
 #include "hwlibs/avx512/Avx512Lib.h"
 #include "scheduling/Schedule.h"
 
@@ -15,29 +16,9 @@ using namespace exo::ir;
 using namespace exo::scheduling;
 using hw::avx512::avx512Lib;
 
-namespace {
-
-std::string algorithmSource(int64_t M, int64_t N, int64_t K) {
-  auto S = [](int64_t V) { return std::to_string(V); };
-  return "@proc\n"
-         "def sgemm(A: f32[" + S(M) + ", " + S(K) + "], "
-         "B: f32[" + S(K) + ", " + S(N) + "], "
-         "C: f32[" + S(M) + ", " + S(N) + "]):\n"
-         "    for i in seq(0, " + S(M) + "):\n"
-         "        for j in seq(0, " + S(N) + "):\n"
-         "            for k in seq(0, " + S(K) + "):\n"
-         "                C[i, j] += A[i, k] * B[k, j]\n";
-}
-
-} // namespace
-
 Expected<ir::ProcRef> exo::apps::buildSgemmAlgorithm(int64_t M, int64_t N,
                                                      int64_t K) {
-  if (M <= 0 || N <= 0 || K <= 0)
-    return makeError(Error::Kind::Scheduling,
-                     "sgemm needs positive M, N, K");
-  frontend::ParseEnv Env = avx512Lib().Env;
-  return frontend::parseProc(algorithmSource(M, N, K), Env);
+  return parseMatmul("sgemm", "f32", avx512Lib().Env, M, N, K);
 }
 
 Expected<SgemmKernels> exo::apps::buildSgemm(int64_t M, int64_t N, int64_t K,
@@ -49,9 +30,7 @@ Expected<SgemmKernels> exo::apps::buildSgemm(int64_t M, int64_t N, int64_t K,
                      "sgemm needs M %% RowTile == 0, N %% ColTile == 0, "
                      "ColTile %% 16 == 0");
   const auto &HW = avx512Lib();
-
-  frontend::ParseEnv Env = HW.Env;
-  auto Alg = frontend::parseProc(algorithmSource(M, N, K), Env);
+  auto Alg = buildSgemmAlgorithm(M, N, K);
   if (!Alg)
     return Alg.error();
 

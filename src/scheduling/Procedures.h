@@ -18,10 +18,11 @@
 ///
 /// A procedure call is exactly the primitive sequence it stands for, so
 /// replacing a hand-written sequence in an app with the procedure leaves
-/// the generated C byte-identical. The apps (Sgemm, GemminiMatmul,
-/// AmxMatmul, Conv) reach these through the Schedule facade's chainers
-/// (hoistToTop, tile2d, stageVec, autoDivide), the trace grammar through
-/// its hoist / tile2d / stage_vec / auto_divide steps.
+/// the generated C byte-identical. The apps (Sgemm, Conv, and the
+/// accelerator matmul of apps/AccelMatmul.h that Gemmini and AMX share)
+/// reach these through the Schedule facade's chainers (hoistToTop,
+/// tile2d, stageVec, autoDivide), the trace grammar through its hoist /
+/// tile2d / stage_vec / auto_divide steps.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,12 +9,12 @@
 #include "hwlibs/avx512/Avx512Lib.h"
 #include "hwlibs/gemmini/GemminiLib.h"
 #include "ir/Builder.h"
+#include "scheduling/OpsCommon.h"
 #include "scheduling/Procedures.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
 #include <limits>
 #include <optional>
 
@@ -232,54 +232,18 @@ Expected<Cursor> resolveTarget(const ProcRef &P, const std::string &Pattern,
   return Cur;
 }
 
-/// TEST-ONLY unsound rewrite: shrinks the Nth loop (pre-order, counted
-/// among loops whose iterator is named \p Iter) to skip its last
+/// TEST-ONLY unsound rewrite: shrinks the selected loop to skip its last
 /// iteration — deliberately with no safety check. Exists so the
 /// acceptance test can prove the triple oracle catches a semantics break.
-Expected<ProcRef> unsoundDropIter(const ProcRef &P, const std::string &Iter,
-                                  int64_t Nth) {
-  int64_t Remaining = Nth;
-  bool Done = false;
-  // Mirrors the pre-order of Pattern.cpp's searchBlock.
-  std::function<Block(const Block &)> rewrite = [&](const Block &B) -> Block {
-    Block Out;
-    for (const StmtRef &S : B) {
-      if (Done) {
-        Out.push_back(S);
-        continue;
-      }
-      if (S->kind() == StmtKind::For && S->name().name() == Iter) {
-        if (Remaining == 0) {
-          Done = true;
-          Out.push_back(withForParts(S, S->lo(),
-                                     eSub(S->hi(), litInt(1)), S->body()));
-          continue;
-        }
-        --Remaining;
-      }
-      StmtRef New = S;
-      if (!S->body().empty() || !S->orelse().empty()) {
-        Block NewBody = S->body().empty() ? Block{} : rewrite(S->body());
-        Block NewOrelse = S->orelse().empty() ? Block{} : rewrite(S->orelse());
-        if (S->kind() == StmtKind::For)
-          New = withForParts(S, S->lo(), S->hi(), std::move(NewBody));
-        else if (S->kind() == StmtKind::If)
-          New = withIfParts(S, S->rhs(), std::move(NewBody),
-                            std::move(NewOrelse));
-      }
-      Out.push_back(New);
-    }
-    return Out;
-  };
-  Block NewBody = rewrite(P->body());
-  if (!Done)
-    return makeError(Error::Kind::Pattern,
-                     "unsound_drop_iter: no loop '" + Iter + "' #" +
-                         std::to_string(Nth));
-  auto C = P->clone();
-  C->setBody(std::move(NewBody));
-  C->setProvenance(P, {});
-  return ProcRef(std::move(C));
+Expected<ProcRef> unsoundDropIter(const Cursor &Target) {
+  ScopedOpName OpName("unsound_drop_iter");
+  auto C = selectionOfKind(Target, StmtKind::For, "a loop");
+  if (!C)
+    return C.error();
+  OpContext Op(Target.proc(), *C);
+  StmtRef L = Op.stmt();
+  return Op.derive({withForParts(L, L->lo(), eSub(L->hi(), litInt(1)),
+                                 L->body())});
 }
 
 } // namespace
@@ -370,9 +334,9 @@ const std::vector<TraceOp> &exo::testing::traceOps() {
        [](const ProcRef &P, const Args &) { return simplify(P); }},
       {ops::DeletePass, {},
        [](const ProcRef &P, const Args &) { return deletePass(P); }},
-      {"unsound_drop_iter", {K::Name, K::Int},
-       [](const ProcRef &P, const Args &A) {
-         return unsoundDropIter(P, A[0].Str, A[1].Int);
+      {"unsound_drop_iter", {K::Loop},
+       [](const ProcRef &, const Args &A) {
+         return unsoundDropIter(A[0].Cur);
        }},
   };
   return Table;
@@ -1032,7 +996,7 @@ ScheduleResult exo::testing::generateSchedule(const ProcRef &P, Rng &R,
     std::optional<ScheduleStep> S;
     if (Attempt == UnsoundAt && !T.Loops.empty()) {
       const LoopTgt &L = T.Loops[R.next() % T.Loops.size()];
-      S = ScheduleStep{"unsound_drop_iter", {L.Iter, std::to_string(L.Ord)}};
+      S = ScheduleStep{"unsound_drop_iter", {loopRef(L)}};
     } else {
       S = propose(T, R, NameCounter);
     }

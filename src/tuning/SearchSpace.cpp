@@ -25,9 +25,11 @@ std::string num(int64_t V) { return std::to_string(V); }
 /// The Gemmini matmul schedule skeleton with its knobs exposed: tile
 /// factor F, whether to stage the A panel / C tile / B tile, and whether
 /// to hoist the configuration instructions. WithStages and WithHoist at
-/// F == 16 is exactly the hand-written ExoLib pipeline (see
-/// apps/GemminiMatmul.cpp); everything else is a deliberately weaker or
-/// outright inapplicable neighbor the search must price.
+/// F == 16 is exactly the hand-written ExoLib pipeline (apps/AccelMatmul's
+/// schedule over Gemmini's table; TuningTest's
+/// SeedWithStagesAndHoistIsTheHandwrittenSchedule checks the generated C);
+/// everything else is a deliberately weaker or outright inapplicable
+/// neighbor the search must price.
 std::vector<ScheduleStep> gemminiTemplate(const KernelShape &S, int64_t F,
                                           bool WithStages, bool WithHoist) {
   std::vector<ScheduleStep> T;

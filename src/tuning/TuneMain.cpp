@@ -21,6 +21,7 @@
 ///   exocc-tune --require-ratio 1.5        # fail unless best <= 1.5x the
 ///                                         # hand-written schedule (CI
 ///                                         # tripwire)
+///   exocc-tune --help                     # usage on stdout, exit 0
 ///
 /// Exit status: 0 when the search (or replay) produced a verified
 /// candidate within --require-ratio, 1 otherwise, 2 on usage errors.
@@ -72,16 +73,18 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
+const char *const Usage =
+    "usage: exocc-tune [--kernel NAME] [--shape NxMxK] [--pop N]\n"
+    "                  [--gens N] [--beam N] [--seed N] [--threads N]\n"
+    "                  [--budget N] [--deadline-ms N] [--json FILE]\n"
+    "                  [--emit-best FILE] [--replay FILE]\n"
+    "                  [--score cycles|wall] [--require-ratio X] [--list]\n"
+    "                  [--help]\n";
+
 int usage(const char *Msg) {
   if (Msg)
     std::fprintf(stderr, "exocc-tune: %s\n", Msg);
-  std::fprintf(
-      stderr,
-      "usage: exocc-tune [--kernel NAME] [--shape NxMxK] [--pop N]\n"
-      "                  [--gens N] [--beam N] [--seed N] [--threads N]\n"
-      "                  [--budget N] [--deadline-ms N] [--json FILE]\n"
-      "                  [--emit-best FILE] [--replay FILE]\n"
-      "                  [--score cycles|wall] [--require-ratio X] [--list]\n");
+  std::fputs(Usage, stderr);
   return 2;
 }
 
@@ -227,7 +230,10 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
-    if (A == "--list") {
+    if (A == "--help" || A == "-h") {
+      std::fputs(Usage, stdout);
+      return 0;
+    } else if (A == "--list") {
       for (const std::string &K : tunableKernels())
         std::printf("%s\n", K.c_str());
       return 0;

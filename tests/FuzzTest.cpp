@@ -21,7 +21,9 @@
 #include "frontend/TypeCheck.h"
 #include "interp/Interp.h"
 #include "ir/Builder.h"
+#include "ir/Printer.h"
 #include "ir/StructuralEq.h"
+#include "scheduling/Cursor.h"
 
 #include <gtest/gtest.h>
 
@@ -336,6 +338,43 @@ TEST(FuzzAcceptance, OracleCatchesInjectedUnsoundRewrite) {
   EXPECT_TRUE(std::filesystem::exists(D.ReproBase + ".cpp"));
 
   std::filesystem::remove_all(ReproDir);
+}
+
+TEST(FuzzAcceptance, UnsoundDropIterShrinksTheLoopCursorFindSelects) {
+  // Three loops named i; the second is nested, so the ordinal follows
+  // Cursor::find's pre-order, not the nesting depth.
+  auto P = frontend::parseProc(R"(
+@proc
+def drop_iter(x: R[8]):
+    for i in seq(0, 2):
+        x[i] = 1.0
+    for j in seq(0, 2):
+        for i in seq(0, 3):
+            x[i] = 2.0
+    for i in seq(0, 4):
+        x[i] = 3.0
+)");
+  ASSERT_TRUE(P) << P.error().str();
+  auto loopHi = [](const ProcRef &Q, int Ord) {
+    auto C = scheduling::Cursor::find(
+        Q, "for i in _: _ #" + std::to_string(Ord));
+    EXPECT_TRUE(C) << C.error().str();
+    return C ? printExpr(C->stmts()[0]->hi()) : std::string();
+  };
+  for (int Target = 0; Target < 3; ++Target) {
+    auto S = ScheduleStep::parse("unsound_drop_iter|i #" +
+                                 std::to_string(Target));
+    ASSERT_TRUE(S) << S.error().str();
+    auto R = applyStep(*P, *S);
+    ASSERT_TRUE(R) << R.error().str();
+    for (int Ord = 0; Ord < 3; ++Ord)
+      EXPECT_EQ(loopHi(*R, Ord),
+                loopHi(*P, Ord) + (Ord == Target ? " - 1" : ""))
+          << "target #" << Target << ", loop #" << Ord;
+  }
+  // A target that selects no loop is rejected, not guessed at.
+  auto Miss = applyStep(*P, ScheduleStep{"unsound_drop_iter", {"i #3"}});
+  EXPECT_FALSE(Miss);
 }
 
 TEST(FuzzAcceptance, CleanRunProducesStatsJson) {

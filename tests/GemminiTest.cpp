@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/AmxMatmul.h"
+#include "apps/Conv.h"
 #include "apps/GemminiMatmul.h"
 #include "hwlibs/gemmini/GemminiLib.h"
 
@@ -49,6 +51,22 @@ TEST(GemminiAppTest, SchedulePipelineSucceeds) {
   EXPECT_EQ(Exo.find("gemmini_config_ld1", Exo.find("gemmini_config_ld1") + 1),
             std::string::npos);
   EXPECT_GT(K->ExoLibSteps, K->OldLibSteps);
+}
+
+TEST(GemminiAppTest, Fig7StepCountsArePinned) {
+  // The directive counts Fig. 7 prints for the three accelerator
+  // schedules (renames included).
+  auto G = apps::buildGemminiMatmul(128, 128, 128);
+  ASSERT_TRUE(bool(G)) << G.error().str();
+  EXPECT_EQ(G->OldLibSteps, 18u);
+  EXPECT_EQ(G->ExoLibSteps, 21u);
+  auto A = apps::buildAmxMatmul(64, 64, 64);
+  ASSERT_TRUE(bool(A)) << A.error().str();
+  EXPECT_EQ(A->PerTileSteps, 18u);
+  EXPECT_EQ(A->HoistedSteps, 21u);
+  auto C = apps::buildConvGemmini({1, 16, 16, 16, 16}, 14);
+  ASSERT_TRUE(bool(C)) << C.error().str();
+  EXPECT_EQ(C->ScheduleSteps, 32u);
 }
 
 TEST(GemminiAppTest, ScheduledKernelsMatchReference) {

@@ -22,11 +22,15 @@
 #include "tuning/Tuner.h"
 
 #include "backend/Backend.h"
+#include "backend/CodeGen.h"
 #include "frontend/Parser.h"
 #include "testing/Oracle.h"
+#include "scheduling/Schedule.h"
 #include "testing/ScheduleGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace exo;
 using namespace exo::ir;
@@ -469,6 +473,33 @@ TEST(Tuner, CommittedBestTraceTokensReplay) {
   EvalResult E = CostModel(Shape, Metric::SimCycles).evaluate(*P);
   ASSERT_TRUE(E.Ok) << E.FailStage << ": " << E.Detail;
   EXPECT_EQ(E.SimCycles, 14866u);
+}
+
+TEST(Tuner, SeedWithStagesAndHoistIsTheHandwrittenSchedule) {
+  // The F=16 seed with stages and hoist spells the accelerator-matmul
+  // schedule as trace text; it must generate exactly the C of the
+  // hand-written ExoLib it is scored against.
+  KernelShape Shape;
+  auto Space = buildSearchSpace("gemmini_matmul", Shape);
+  ASSERT_TRUE(Space) << Space.error().str();
+  auto IsFullF16 = [](const std::vector<ScheduleStep> &T) {
+    return !T.empty() && T.front().str() == "split|k|16|ko|ki|perfect" &&
+           T.back().Op == "hoist";
+  };
+  auto Seed = std::find_if(Space->Seeds.begin(), Space->Seeds.end(),
+                           IsFullF16);
+  ASSERT_NE(Seed, Space->Seeds.end());
+  EXPECT_EQ(std::count_if(Space->Seeds.begin(), Space->Seeds.end(),
+                          IsFullF16),
+            1);
+  auto P = applyTrace(Space->Algorithm, *Seed);
+  ASSERT_TRUE(P) << P.error().str();
+  auto Traced = backend::generateC({scheduling::renameProc(*P, "matmul")});
+  auto Hand = backend::generateC(
+      {scheduling::renameProc(Space->Handwritten, "matmul")});
+  ASSERT_TRUE(Traced) << Traced.error().str();
+  ASSERT_TRUE(Hand) << Hand.error().str();
+  EXPECT_EQ(*Traced, *Hand);
 }
 
 TEST(Tuner, UnknownKernelFailsCleanly) {
