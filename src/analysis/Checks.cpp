@@ -9,6 +9,8 @@
 #include "analysis/Context.h"
 #include "smt/Simplify.h"
 
+#include <optional>
+
 using namespace exo;
 using namespace exo::analysis;
 using namespace exo::smt;
@@ -150,27 +152,23 @@ struct Footprint {
 /// of each location it could build.
 class FootprintWalk {
 public:
-  FootprintWalk(const FlowState &State, Footprint &F) : State(State), F(F) {}
+  explicit FootprintWalk(Footprint &F) : F(F) {}
 
-  /// \p Windows holds the window statements in scope inside the block,
-  /// already resolved to physical bases; passed by value so a branch or
-  /// loop body's bindings end with it, as in the dataflow.
-  void block(std::map<ir::Sym, ir::Sym> Windows, const ir::Block &B) {
+  /// \p Windows maps each window name in scope to its physical base; passed
+  /// by value so a branch or loop body's bindings end with it, as in the
+  /// dataflow.
+  void block(WindowBases Windows, const ir::Block &B) {
     for (const ir::StmtRef &S : B)
       stmt(Windows, S);
   }
 
 private:
-  ir::Sym baseOf(const std::map<ir::Sym, ir::Sym> &Windows,
-                 ir::Sym Name) const {
+  static ir::Sym baseOf(const WindowBases &Windows, ir::Sym Name) {
     auto W = Windows.find(Name);
-    if (W != Windows.end())
-      return W->second;
-    auto A = State.Aliases.find(Name);
-    return A == State.Aliases.end() ? Name : A->second.Base;
+    return W == Windows.end() ? Name : W->second;
   }
 
-  void modify(const std::map<ir::Sym, ir::Sym> &Windows, ir::Sym Name) {
+  void modify(const WindowBases &Windows, ir::Sym Name) {
     ir::Sym Base = baseOf(Windows, Name);
     F.Touched.insert(Base);
     F.Modified.insert(Base);
@@ -179,7 +177,7 @@ private:
   /// Heap reads, as collectReads (Effects.cpp) records them: data-typed
   /// reads, nothing for a stride, only the coordinates of a window.
   /// Configuration reads are collected separately.
-  void reads(const std::map<ir::Sym, ir::Sym> &Windows, const ir::ExprRef &E) {
+  void reads(const WindowBases &Windows, const ir::ExprRef &E) {
     if (!E)
       return;
     if (E->kind() == ir::ExprKind::Read && E->type().isData())
@@ -188,7 +186,7 @@ private:
       reads(Windows, C);
   }
 
-  void stmt(std::map<ir::Sym, ir::Sym> &Windows, const ir::StmtRef &S) {
+  void stmt(WindowBases &Windows, const ir::StmtRef &S) {
     switch (S->kind()) {
     case ir::StmtKind::Pass:
     case ir::StmtKind::Alloc:
@@ -230,13 +228,12 @@ private:
     }
   }
 
-  const FlowState &State;
   Footprint &F;
 };
 
-Footprint footprintOf(const FlowState &State, const ir::Block &B) {
+Footprint footprintOf(const WindowBases &Windows, const ir::Block &B) {
   Footprint F;
-  FootprintWalk(State, F).block({}, B);
+  FootprintWalk(F).block(Windows, B);
   std::set<ir::Sym> CfgWrites;
   collectConfigReads(B, F.Touched);
   collectConfigWrites(B, CfgWrites);
@@ -252,12 +249,58 @@ bool meets(const std::set<ir::Sym> &X, const std::set<ir::Sym> &Y) {
   return false;
 }
 
+/// True when \p B and every callee body it reaches hold only Pass,
+/// WriteConfig and Call statements.
+bool straightLineConfig(const ir::Block &B) {
+  for (const ir::StmtRef &S : B)
+    switch (S->kind()) {
+    case ir::StmtKind::Pass:
+    case ir::StmtKind::WriteConfig:
+      break;
+    case ir::StmtKind::Call:
+      if (!straightLineConfig(S->proc()->body()))
+        return false;
+      break;
+    default:
+      return false;
+    }
+  return true;
+}
+
+/// The value of an integer (not boolean) control literal.
+std::optional<int64_t> intLiteral(const ir::ExprRef &E) {
+  if (E->kind() != ir::ExprKind::Const || !E->type().isControl() ||
+      E->type().elem() == ir::ScalarKind::Bool)
+    return std::nullopt;
+  return E->intValue();
+}
+
 } // namespace
 
-bool exo::analysis::footprintsCommute(const FlowState &State,
+bool exo::analysis::footprintsCommute(const WindowBases &Windows,
                                       const ir::Block &A, const ir::Block &B) {
-  Footprint FA = footprintOf(State, A), FB = footprintOf(State, B);
+  Footprint FA = footprintOf(Windows, A), FB = footprintOf(Windows, B);
   return !meets(FA.Modified, FB.Touched) && !meets(FB.Modified, FA.Touched);
+}
+
+bool exo::analysis::literallyNonEmpty(const ir::ExprRef &Lo,
+                                      const ir::ExprRef &Hi) {
+  std::optional<int64_t> L = intLiteral(Lo), H = intLiteral(Hi);
+  return L && H && *L < *H;
+}
+
+bool exo::analysis::literallyEqual(const ir::ExprRef &A, const ir::ExprRef &B) {
+  std::optional<int64_t> VA = intLiteral(A);
+  return VA && VA == intLiteral(B);
+}
+
+bool exo::analysis::obviouslyIdempotent(const ir::Block &B) {
+  if (!straightLineConfig(B))
+    return false;
+  std::set<ir::Sym> Reads, Writes;
+  collectConfigReads(B, Reads);
+  collectConfigWrites(B, Writes);
+  return !meets(Writes, Reads);
 }
 
 TermRef exo::analysis::shadowsCond(const EffectSets &A, const EffectSets &B) {

@@ -25,7 +25,7 @@
 #ifndef EXO_ANALYSIS_CHECKS_H
 #define EXO_ANALYSIS_CHECKS_H
 
-#include "analysis/Effects.h"
+#include "analysis/Context.h"
 #include "support/Error.h"
 
 namespace exo {
@@ -44,14 +44,34 @@ bool disjointFastPath(const LocSetRef &A, const LocSetRef &B);
 smt::TermRef commutesCond(const EffectSets &A, const EffectSets &B);
 
 /// Syntactic pre-check for Commutes over the *bases* of both sides (DESIGN.md,
-/// "Footprint pre-check"): heap buffers resolved through \p State's window
-/// aliases and the blocks' own window statements, plus configuration
-/// fields, looking through callee bodies. Returns true only when no base
-/// that one block may write or reduce is read, written or reduced by the
-/// other; D(Commutes) of their extracted effects is then valid. False means
-/// "extract the effects and ask the solver", never "they do not commute".
-bool footprintsCommute(const FlowState &State, const ir::Block &A,
+/// "Footprint pre-check"): heap buffers resolved through \p Windows (the
+/// window bases in scope before the blocks, windowBasesAt) and the blocks'
+/// own window statements, plus configuration fields, looking through callee
+/// bodies. Returns true only when no base that one block may write or
+/// reduce is read, written or reduced by the other; D(Commutes) of their
+/// extracted effects is then valid. False means "extract the effects and
+/// ask the solver", never "they do not commute".
+bool footprintsCommute(const WindowBases &Windows, const ir::Block &A,
                        const ir::Block &B);
+
+/// Syntactic pre-checks for the loop-bound obligations (DESIGN.md,
+/// "Footprint pre-check"): true only when the bounds are integer literals
+/// that satisfy the obligation — lo < hi for remove_loop's "runs at least
+/// once", equal values for fuse_loop's "same bounds" — so the lifted
+/// formula is the constant true under any context. False means "derive
+/// the context and ask the solver".
+bool literallyNonEmpty(const ir::ExprRef &Lo, const ir::ExprRef &Hi);
+bool literallyEqual(const ir::ExprRef &A, const ir::ExprRef &B);
+
+/// Syntactic pre-check for remove_loop's idempotence, Shadows(a, a) of the
+/// body's effect (DESIGN.md, "Footprint pre-check"): true only when \p B,
+/// looking through callee bodies, is a straight-line sequence of Pass,
+/// WriteConfig and Call statements and reads none of the configuration
+/// fields it writes. Every location it modifies is then a rank-0 field it
+/// must-writes and never reads, so shadowsCond of its extracted effects is
+/// the constant true. False means "extract the effects and ask the
+/// solver", never "not idempotent".
+bool obviouslyIdempotent(const ir::Block &B);
 
 /// D(Shadows a1 a2) as a classical formula (Def 5.7). Conservative
 /// extension: locations modified by a1 must not be reduced by a2 either

@@ -123,6 +123,29 @@ void exo::analysis::collectConfigWrites(const Block &B, std::set<Sym> &Out) {
     collectConfigWritesStmt(S, Out);
 }
 
+WindowBases exo::analysis::windowBasesAt(const Proc &P, const StmtCursor &C) {
+  WindowBases Bases;
+  const Block *B = &P.body();
+  for (size_t Depth = 0;; ++Depth) {
+    unsigned Stop = Depth < C.Path.size() ? C.Path[Depth].Index : C.Begin;
+    if (Stop > B->size() || (Depth < C.Path.size() && Stop >= B->size()))
+      fatalError("windowBasesAt: cursor path out of range");
+    for (unsigned I = 0; I < Stop; ++I) {
+      const StmtRef &S = (*B)[I];
+      if (S->kind() != StmtKind::WindowStmt)
+        continue;
+      Sym Viewed = S->rhs()->name();
+      auto It = Bases.find(Viewed);
+      Bases[S->name()] = It == Bases.end() ? Viewed : It->second;
+    }
+    if (Depth == C.Path.size())
+      return Bases;
+    const StmtRef &S = (*B)[C.Path[Depth].Index];
+    B = C.Path[Depth].Into == PathStep::Branch::Body ? &S->body()
+                                                     : &S->orelse();
+  }
+}
+
 ContextInfo exo::analysis::computeContext(AnalysisCtx &Ctx, const Proc &P,
                                           const StmtCursor &C) {
   ContextInfo Info;

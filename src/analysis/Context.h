@@ -72,6 +72,18 @@ struct ContextInfo {
 ContextInfo computeContext(AnalysisCtx &Ctx, const ir::Proc &P,
                            const StmtCursor &C);
 
+/// Window name ↦ the underlying (non-window) buffer it views.
+using WindowBases = std::map<ir::Sym, ir::Sym>;
+
+/// The bases of the window aliases in scope before the selection: the
+/// WindowStmts that precede the cursor at each level of its spine, each
+/// resolved through the earlier ones. This is exactly the base part of
+/// computeContext(...).Pre.Aliases for every name the procedure binds
+/// (the dataflow drops the windows bound inside a For/If body, and an
+/// inlined callee's windows get fresh names), derived without flowing a
+/// single statement.
+WindowBases windowBasesAt(const ir::Proc &P, const StmtCursor &C);
+
 /// Syntactic set of configuration fields read (not written) anywhere in
 /// the fragment, looking through call bodies; assertions are excluded.
 void collectConfigReads(const ir::Block &B, std::set<ir::Sym> &Out);

@@ -88,7 +88,11 @@ struct EffectCache {
   std::atomic<uint64_t> CanonIndexed{0};
   std::atomic<uint64_t> CanonUnshareable{0};
 
-  static constexpr size_t MaxEntriesPerShard = (1u << 13) / NumShards;
+  // 1024 records in all: a record pins its statement, so the cap bounds
+  // what finished compiles keep alive in a long-running process. It is the
+  // smallest cap measured that left every benchmark workload's throughput
+  // unchanged (DESIGN.md, "Performance").
+  static constexpr size_t MaxEntriesPerShard = (1u << 10) / NumShards;
   static constexpr size_t MaxLinesPerStmt = 8;
 
   CacheShard &shardFor(const Stmt *S) {

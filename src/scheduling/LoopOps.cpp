@@ -269,28 +269,34 @@ Expected<ProcRef> exo::scheduling::removeLoop(const Cursor &Target) {
     return makeError(Error::Kind::Scheduling,
                      "remove_loop: iterator occurs free in the body");
 
+  // Both obligations are settled syntactically where they can be; only
+  // the rest derives the context and asks the solver.
   AnalysisCtx &Ctx = Op.Ctx;
-  const ContextInfo &Info = Op.info();
+  std::string Loc = "for " + Loop->name().name() + " in _: _";
   // At least one iteration: lo < hi.
-  EffInt LoV = Ctx.liftControl(Loop->lo(), Info.Pre.Env);
-  EffInt HiV = Ctx.liftControl(Loop->hi(), Info.Pre.Env);
-  smt::TermRef NonEmpty = smt::mkAnd(smt::mkAnd(LoV.Def, HiV.Def),
-                                     smt::lt(LoV.Val, HiV.Val));
-  if (auto E = checkProved(
-          Ctx, Info.PathCond, NonEmpty,
-          "for " + Loop->name().name() + " in _: _",
-          "remove_loop: cannot prove the loop runs at least once"))
-    return *E;
+  if (!literallyNonEmpty(Loop->lo(), Loop->hi())) {
+    const ContextInfo &Info = Op.info();
+    EffInt LoV = Ctx.liftControl(Loop->lo(), Info.Pre.Env);
+    EffInt HiV = Ctx.liftControl(Loop->hi(), Info.Pre.Env);
+    smt::TermRef NonEmpty = smt::mkAnd(smt::mkAnd(LoV.Def, HiV.Def),
+                                       smt::lt(LoV.Val, HiV.Val));
+    if (auto E = checkProved(
+            Ctx, Info.PathCond, NonEmpty, Loc,
+            "remove_loop: cannot prove the loop runs at least once"))
+      return *E;
+  }
 
   // Idempotence: Shadows(a, a) for the body's effect (§5.8).
-  FlowState S1 = Info.Pre;
-  EffectSets A = extractBlock(Ctx, S1, Loop->body());
-  FlowState S2 = Info.Pre;
-  EffectSets A2 = extractBlock(Ctx, S2, Loop->body());
-  if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2),
-                           "for " + Loop->name().name() + " in _: _",
-                           "remove_loop: body is not provably idempotent"))
-    return *E;
+  if (!obviouslyIdempotent(Loop->body())) {
+    const ContextInfo &Info = Op.info();
+    FlowState S1 = Info.Pre;
+    EffectSets A = extractBlock(Ctx, S1, Loop->body());
+    FlowState S2 = Info.Pre;
+    EffectSets A2 = extractBlock(Ctx, S2, Loop->body());
+    if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2), Loc,
+                             "remove_loop: body is not provably idempotent"))
+      return *E;
+  }
 
   return Op.derive(Loop->body());
 }
@@ -311,22 +317,26 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const Cursor &Target) {
 
   OpContext Op(P, *C);
   AnalysisCtx &Ctx = Op.Ctx;
-  const ContextInfo &Info = Op.info();
   // Bounds must provably coincide.
-  EffInt Lo1 = Ctx.liftControl(L1->lo(), Info.Pre.Env);
-  EffInt Lo2 = Ctx.liftControl(L2->lo(), Info.Pre.Env);
-  EffInt Hi1 = Ctx.liftControl(L1->hi(), Info.Pre.Env);
-  EffInt Hi2 = Ctx.liftControl(L2->hi(), Info.Pre.Env);
-  smt::TermRef SameBounds =
-      smt::mkAnd({Lo1.Def, Lo2.Def, Hi1.Def, Hi2.Def,
-                  smt::eq(Lo1.Val, Lo2.Val), smt::eq(Hi1.Val, Hi2.Val)});
-  if (auto E = checkProved(Ctx, Info.PathCond, SameBounds,
-                           "for " + L1->name().name() + " in _: _",
-                           "fuse_loop: loop bounds are not provably equal"))
-    return *E;
+  if (!literallyEqual(L1->lo(), L2->lo()) ||
+      !literallyEqual(L1->hi(), L2->hi())) {
+    const ContextInfo &Info = Op.info();
+    EffInt Lo1 = Ctx.liftControl(L1->lo(), Info.Pre.Env);
+    EffInt Lo2 = Ctx.liftControl(L2->lo(), Info.Pre.Env);
+    EffInt Hi1 = Ctx.liftControl(L1->hi(), Info.Pre.Env);
+    EffInt Hi2 = Ctx.liftControl(L2->hi(), Info.Pre.Env);
+    smt::TermRef SameBounds =
+        smt::mkAnd({Lo1.Def, Lo2.Def, Hi1.Def, Hi2.Def,
+                    smt::eq(Lo1.Val, Lo2.Val), smt::eq(Hi1.Val, Hi2.Val)});
+    if (auto E = checkProved(Ctx, Info.PathCond, SameBounds,
+                             "for " + L1->name().name() + " in _: _",
+                             "fuse_loop: loop bounds are not provably equal"))
+      return *E;
+  }
 
   // Flipped pairs: s2 at iteration x2 now precedes s1 at x1 for x2 < x1.
-  if (!footprintsCommute(Info.Pre, L1->body(), L2->body())) {
+  if (!footprintsCommute(Op.windowBases(), L1->body(), L2->body())) {
+    const ContextInfo &Info = Op.info();
     smt::TermRef X1 = smt::mkVar(smt::freshVar("x1", smt::Sort::Int));
     smt::TermRef X2 = smt::mkVar(smt::freshVar("x2", smt::Sort::Int));
     FlowState SA = Info.Pre;

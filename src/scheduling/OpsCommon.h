@@ -41,9 +41,12 @@ ir::ProcRef deriveProc(const ir::ProcRef &Old, ir::Block NewBody,
 /// The deduplicated effect-extraction preamble the analysis-backed
 /// operators used to copy-paste: one AnalysisCtx plus the lazily-derived
 /// one-holed context of §6.1 for a resolved cursor. Construct it after
-/// the cursor's selection is checked; call info() only on the paths that need
-/// analysis (several operators have analysis-free fast paths). derive()
-/// splices a replacement at the cursor and stamps the dirty region.
+/// the cursor's selection is checked. Deriving the context flows every
+/// earlier statement and probes every enclosing loop, so an operator first
+/// settles what it can syntactically (the pre-checks of analysis/Checks.h,
+/// which read only windowBases()) and calls info() only on the paths that
+/// still need the solver. derive() splices a replacement at the cursor and
+/// stamps the dirty region.
 class OpContext {
 public:
   OpContext(const ir::ProcRef &P, StmtCursor Cursor)
@@ -56,6 +59,11 @@ public:
   ir::StmtRef stmt() const { return stmts()[0]; }
 
   analysis::AnalysisCtx Ctx;
+  /// The window bases in scope before the selection: all the footprint
+  /// pre-check needs, read off the cursor's spine without deriving info().
+  analysis::WindowBases windowBases() const {
+    return analysis::windowBasesAt(*P, C);
+  }
   const analysis::ContextInfo &info() {
     if (!Info)
       Info = analysis::computeContext(Ctx, *P, C);

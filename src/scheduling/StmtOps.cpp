@@ -39,11 +39,11 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C) {
   StmtCursor Two = C;
   Two.End = C.Begin + 2;
   OpContext Op(P, Two);
-  const ContextInfo &Info = Op.info();
   // A window s1 binds is in scope for s2's extraction; the footprint
-  // pre-check reads s2 under the state before s1, so it skips that case.
+  // pre-check reads s2 under the windows before s1, so it skips that case.
   if (S1->kind() == StmtKind::WindowStmt ||
-      !footprintsCommute(Info.Pre, {S1}, {S2})) {
+      !footprintsCommute(Op.windowBases(), {S1}, {S2})) {
+    const ContextInfo &Info = Op.info();
     FlowState State = Info.Pre;
     EffectSets A1 = extractStmt(Op.Ctx, State, S1);
     EffectSets A2 = extractStmt(Op.Ctx, State, S2);
@@ -116,9 +116,9 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const Cursor &Stmt) {
                            "' bound in the first half");
 
   // §5.8: B1 at iteration x moves before B2 at iteration x' for x' < x.
-  AnalysisCtx &Ctx = Op.Ctx;
-  const ContextInfo &Info = Op.info();
-  if (!footprintsCommute(Info.Pre, B1, B2)) {
+  if (!footprintsCommute(Op.windowBases(), B1, B2)) {
+    AnalysisCtx &Ctx = Op.Ctx;
+    const ContextInfo &Info = Op.info();
     smt::TermRef X1 = smt::mkVar(smt::freshVar("x1", smt::Sort::Int));
     smt::TermRef X2 = smt::mkVar(smt::freshVar("x2", smt::Sort::Int));
     FlowState SA = Info.Pre;

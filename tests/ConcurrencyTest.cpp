@@ -142,7 +142,7 @@ TEST(ConcurrencyTest, LoopVarUnpinningRacesWithInserts) {
   // Even threads pin fresh For nodes past the record cap, so shards flush
   // and unpin loop variables; odd threads extract fresh procs, whose
   // inserts read the pinned set in their leak check. The set must stay
-  // within the cap of 8192 records.
+  // within the cap of 1024 records.
   analysis::clearEffectCache();
   Sym Iter = Sym::fresh("t");
   onThreads([&](unsigned T) {
@@ -158,7 +158,7 @@ TEST(ConcurrencyTest, LoopVarUnpinningRacesWithInserts) {
       (void)analysis::extractBlock(Ctx, FS, parseGemm()->body());
     }
   });
-  EXPECT_LE(analysis::effectCacheStats().LoopVars, 8192u);
+  EXPECT_LE(analysis::effectCacheStats().LoopVars, 1024u);
 }
 
 TEST(ConcurrencyTest, ParallelSchedulingEmitsBitIdenticalC) {

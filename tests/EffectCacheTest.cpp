@@ -188,7 +188,7 @@ TEST(EffectCacheTest, UncacheableStatementsStayWithinTheTableCap) {
   // Every statement the cache looks at gets a record that pins its node,
   // whether or not a summary is ever stored for it. A stream of fresh
   // config writes (never state-invariant, so never stored) must still
-  // leave the table within its cap of 8192 records.
+  // leave the table within its cap of 1024 records.
   clearEffectCache();
   frontend::ParseEnv Env;
   auto M = frontend::parseModule(R"(
@@ -209,14 +209,14 @@ class BoundCfg:
   }
   EffectCacheStats S = effectCacheStats();
   EXPECT_GT(S.Uncacheable, 0u);
-  EXPECT_LE(S.Size, 8192u);
+  EXPECT_LE(S.Size, 1024u);
 }
 
 TEST(EffectCacheTest, PinnedLoopVarsStayWithinTheTableCap) {
   // Each For node analyzed pins one stable loop variable. A daemon sees
   // an unbounded stream of fresh nodes; the set of pinned ids must be
   // flushed with the records that pinned them, so it stays within the
-  // record cap of 8192.
+  // record cap of 1024.
   clearEffectCache();
   Sym Iter = Sym::fresh("i");
   for (unsigned I = 0; I < 9000; ++I)
@@ -224,8 +224,8 @@ TEST(EffectCacheTest, PinnedLoopVarsStayWithinTheTableCap) {
                                       Expr::constInt(4), {Stmt::pass()}));
   EffectCacheStats S = effectCacheStats();
   EXPECT_GT(S.Evictions, 0u);
-  EXPECT_LE(S.Size, 8192u);
-  EXPECT_LE(S.LoopVars, 8192u);
+  EXPECT_LE(S.Size, 1024u);
+  EXPECT_LE(S.LoopVars, 1024u);
   clearEffectCache();
   EXPECT_EQ(effectCacheStats().LoopVars, 0u);
 }
