@@ -6,14 +6,13 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/EffectCache.h"
 #include "smt/Solver.h"
 #include "smt/Term.h"
+#include "support/Process.h"
+#include "support/TempDir.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <unistd.h>
 #include <sstream>
 
 using namespace exo;
@@ -36,34 +35,36 @@ exo::bench::compileAndRun(const std::string &CSource,
                           const std::vector<std::string> &ExtraSources,
                           const std::vector<std::string> &IncludeDirs,
                           const std::string &ExtraCFlags) {
-  static int Counter = 0;
-  std::string Dir = "/tmp/exocc_bench";
-  (void)std::system(("mkdir -p " + Dir).c_str());
-  std::string Tag = std::to_string(getpid()) + "_" + std::to_string(Counter++);
-  std::string CPath = Dir + "/gen_" + Tag + ".c";
-  std::string Bin = Dir + "/gen_" + Tag + ".bin";
-  std::string OutPath = Dir + "/gen_" + Tag + ".out";
-  std::string ErrPath = Dir + "/gen_" + Tag + ".err";
+  support::TempDir Dir("bench_");
+  if (!Dir.valid())
+    return makeError(Error::Kind::Internal, "cannot create a scratch dir");
+  std::string CPath = Dir.file("gen.c"), Bin = Dir.file("gen.bin");
+  std::string OutPath = Dir.file("gen.out"), ErrPath = Dir.file("gen.err");
   {
     std::ofstream F(CPath);
     F << CSource;
   }
-  std::string Cmd = "cc -O2 -march=native -std=gnu11 " + ExtraCFlags + " ";
+  std::vector<std::string> Cc{"cc", "-O2", "-march=native", "-std=gnu11"};
+  std::istringstream Flags(ExtraCFlags);
+  for (std::string Flag; Flags >> Flag;)
+    Cc.push_back(Flag);
   for (const std::string &I : IncludeDirs)
-    Cmd += "-I" + I + " ";
-  Cmd += CPath + " ";
-  for (const std::string &S : ExtraSources)
-    Cmd += S + " ";
-  Cmd += "-lm -o " + Bin + " 2> " + ErrPath;
-  if (std::system(Cmd.c_str()) != 0) {
+    Cc.push_back("-I" + I);
+  Cc.push_back(CPath);
+  Cc.insert(Cc.end(), ExtraSources.begin(), ExtraSources.end());
+  Cc.insert(Cc.end(), {"-lm", "-o", Bin});
+  auto Stderr = [&ErrPath] {
     std::ifstream E(ErrPath);
     std::stringstream SS;
     SS << E.rdbuf();
+    return SS.str();
+  };
+  if (support::runCommands({{Cc, ErrPath}})[0] != 0)
     return makeError(Error::Kind::Internal,
-                     "C compilation failed:\n" + SS.str());
-  }
-  if (std::system((Bin + " > " + OutPath).c_str()) != 0)
-    return makeError(Error::Kind::Internal, "generated binary failed");
+                     "C compilation failed:\n" + Stderr());
+  if (support::runCommands({{{Bin}, ErrPath, OutPath}})[0] != 0)
+    return makeError(Error::Kind::Internal,
+                     "generated binary failed:\n" + Stderr());
   std::ifstream In(OutPath);
   std::vector<std::string> Tokens;
   std::string T;
@@ -74,7 +75,6 @@ exo::bench::compileAndRun(const std::string &CSource,
 
 std::string exo::bench::solverStatsJson() {
   smt::Solver::Stats S = smt::solverGlobalStats();
-  analysis::EffectCacheStats E = analysis::effectCacheStats();
   smt::TermInternerStats T = smt::termInternerStats();
   std::ostringstream O;
   O << "{\n"
@@ -95,10 +95,6 @@ std::string exo::bench::solverStatsJson() {
     << ", \"interval_misses\": " << S.SimplifyIntervalMisses
     << ", \"fastpath_hits\": " << S.FastPathHits
     << ", \"fastpath_misses\": " << S.FastPathMisses << "},\n"
-    << "  \"effect_cache\": {\"hits\": " << E.Hits
-    << ", \"misses\": " << E.Misses << ", \"uncacheable\": " << E.Uncacheable
-    << ", \"evictions\": " << E.Evictions << ", \"size\": " << E.Size
-    << "},\n"
     << "  \"term_interner\": {\"hits\": " << T.Hits
     << ", \"misses\": " << T.Misses << ", \"flushes\": " << T.Flushes
     << ", \"live\": " << T.Live << "}\n"

@@ -41,10 +41,9 @@ void printRow(const std::vector<std::string> &Cells,
               const std::vector<int> &Widths);
 
 /// A JSON object snapshotting the solver/caching instrumentation: the
-/// process-wide aggregate Solver::Stats, the effect-cache counters, and
-/// the term-interner counters. Bench harnesses append this to their
-/// output so the bench trajectory records cache behaviour alongside
-/// timings.
+/// process-wide aggregate Solver::Stats and the term-interner counters.
+/// Bench harnesses append this to their output so the bench trajectory
+/// records cache behaviour alongside timings.
 std::string solverStatsJson();
 
 /// Writes solverStatsJson() to \p Path; returns false on I/O failure.

@@ -98,8 +98,8 @@ void BM_StageMem(benchmark::State &State) {
 BENCHMARK(BM_StageMem);
 
 void BM_EffectExtraction(benchmark::State &State) {
-  // Cold: the effect cache is cleared every iteration so this keeps
-  // measuring the raw extraction recursion (cf. BM_EffectExtractionWarm).
+  // The extraction recursion over gemm; the statement-record table is
+  // cleared every iteration so loop variables are pinned afresh each time.
   ProcRef P = gemm();
   for (auto _ : State) {
     analysis::clearEffectCache();
@@ -128,21 +128,6 @@ void BM_SolverTileDisjointness(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SolverTileDisjointness);
-
-void BM_EffectExtractionWarm(benchmark::State &State) {
-  // Same workload as BM_EffectExtraction, but without clearing the effect
-  // cache: every statement summary after the first iteration is a hit.
-  ProcRef P = gemm();
-  for (auto _ : State) {
-    analysis::AnalysisCtx Ctx;
-    analysis::FlowState FS;
-    auto E = analysis::extractBlock(Ctx, FS, P->body());
-    benchmark::DoNotOptimize(E);
-  }
-  auto ES = analysis::effectCacheStats();
-  State.counters["effect_hits"] = static_cast<double>(ES.Hits);
-}
-BENCHMARK(BM_EffectExtractionWarm);
 
 void BM_Fig5aScheduleReplay(benchmark::State &State) {
   // Replays the full fig5a SGEMM schedule (split/reorder/stage/vectorize

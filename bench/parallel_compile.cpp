@@ -53,7 +53,6 @@ void runBatch(benchmark::State &State, unsigned Threads) {
   State.counters["c_bytes"] = static_cast<double>(Bytes);
   State.counters["solver_queries"] = static_cast<double>(Last.SolverQueries);
   State.counters["term_hits"] = static_cast<double>(Last.TermHits);
-  State.counters["effect_hits"] = static_cast<double>(Last.EffectHits);
 }
 
 void BM_BatchCompile1(benchmark::State &State) { runBatch(State, 1); }

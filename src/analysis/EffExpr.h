@@ -76,9 +76,8 @@ using EffEnv = std::map<ir::Sym, EffInt>;
 /// Shared state for one analysis session. One AnalysisCtx spans one
 /// scheduling operation's worth of queries; the Sym → solver-var mapping
 /// and the uninterpreted stride values live in a process-wide registry so
-/// that every context agrees on them — a requirement for the effect cache
-/// (summaries extracted under one context stay meaningful under another)
-/// and harmless otherwise since ir::Sym ids are globally unique.
+/// that every context agrees on them (harmless, since ir::Sym ids are
+/// globally unique).
 class AnalysisCtx {
 public:
   AnalysisCtx() = default;

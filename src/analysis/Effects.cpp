@@ -103,9 +103,8 @@ EffectSets exo::analysis::extractExprReads(AnalysisCtx &Ctx,
   return Out;
 }
 
-/// The uncached extraction (the original Def 5.4/5.5 recursion). The public
-/// extractStmt wraps this with the effect cache.
-static EffectSets extractStmtUncached(AnalysisCtx &Ctx, FlowState &State,
+/// The Def 5.4/5.5 recursion.
+EffectSets exo::analysis::extractStmt(AnalysisCtx &Ctx, FlowState &State,
                                       const StmtRef &S) {
   switch (S->kind()) {
   case StmtKind::Pass:
@@ -180,7 +179,7 @@ static EffectSets extractStmtUncached(AnalysisCtx &Ctx, FlowState &State,
 
     // Pinned per-statement iteration variable (an alpha choice): the same
     // For node always quantifies over the same variable, which is what
-    // makes its cached summaries reproducible.
+    // makes its summaries, and the queries posed over them, reproducible.
     smt::TermVar X = stableLoopVar(S);
     BodyState.Env[S->name()] = EffInt::known(smt::mkVar(X));
     EffectSets BodyEff = extractBlock(Ctx, BodyState, S->body());
@@ -199,17 +198,6 @@ static EffectSets extractStmtUncached(AnalysisCtx &Ctx, FlowState &State,
   }
   }
   return EffectSets();
-}
-
-EffectSets exo::analysis::extractStmt(AnalysisCtx &Ctx, FlowState &State,
-                                      const StmtRef &S) {
-  EffectSets Out;
-  if (effectCacheLookup(Ctx, S, State, Out))
-    return Out; // cache hits are state-invariant by construction
-  unsigned Mark = smt::freshVarMark();
-  Out = extractStmtUncached(Ctx, State, S);
-  effectCacheInsert(Ctx, S, State, Mark, Out);
-  return Out;
 }
 
 EffectSets exo::analysis::extractBlock(AnalysisCtx &Ctx, FlowState &State,

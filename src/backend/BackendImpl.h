@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Helpers shared by CSourceBackend and JitBackend: module construction
-/// (generateModule + entry metadata + content hash), child processes and
-/// the host-compiler argv (simulator runtime include paths, conditional
+/// (generateModule + entry metadata + content hash), the host-compiler
+/// argv (simulator runtime include paths, conditional
 /// sim objects), the JIT's split into translation units, and
 /// the generic `void exo_rt_<entry>(void **)` trampoline emission both
 /// execution paths marshal through. Internal to src/backend.
@@ -52,18 +52,6 @@ Expected<LoweredModuleRef> lowerCommon(const std::vector<ir::ProcRef> &Procs,
 /// the build's prebuilt simulator object must be linked into the artifact).
 bool usesGemminiSim(const std::string &Source);
 bool usesAmxSim(const std::string &Source);
-
-/// One child process: its argv (argv[0] is looked up on PATH; no shell
-/// ever sees the arguments) and the file its stderr is written to.
-struct Command {
-  std::vector<std::string> Argv;
-  std::string ErrPath;
-};
-
-/// Starts every command at once (posix_spawn) and reaps each (waitpid).
-/// Returns their exit statuses in order; -1 for a command that could not
-/// start (the reason is written to its ErrPath) or died by a signal.
-std::vector<int> runCommands(const std::vector<Command> &Cmds);
 
 /// The host-compiler argv: `<cc> <Flags> -o <Out> <Inputs> -I <sim
 /// runtimes>`, and when \p Link is set, the prebuilt simulator objects

@@ -33,6 +33,7 @@
 #include "backend/Backend.h"
 
 #include "backend/BackendImpl.h"
+#include "support/Process.h"
 #include "support/Signals.h"
 #include "support/TempDir.h"
 
@@ -48,6 +49,8 @@
 using namespace exo;
 using namespace exo::backend;
 using namespace exo::backend::detail;
+using support::Command;
+using support::runCommands;
 using namespace exo::ir;
 
 namespace {

@@ -6,7 +6,6 @@
 
 #include "driver/BatchDriver.h"
 
-#include "analysis/EffectCache.h"
 #include "support/Deadline.h"
 #include "support/ThreadPool.h"
 
@@ -41,7 +40,6 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
 
   smt::Solver::Stats Solver0 = smt::solverGlobalStats();
   smt::TermInternerStats Term0 = smt::termInternerStats();
-  analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
 
   std::unique_ptr<JobTrack[]> Track(new JobTrack[Jobs.size()]);
 
@@ -129,14 +127,9 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
 
   smt::Solver::Stats Solver1 = smt::solverGlobalStats();
   smt::TermInternerStats Term1 = smt::termInternerStats();
-  analysis::EffectCacheStats Eff1 = analysis::effectCacheStats();
   Out.Cache.SolverQueries = Solver1.NumQueries - Solver0.NumQueries;
-  Out.Cache.EffectCrossCompileHits =
-      Eff1.CrossCompileHits - Eff0.CrossCompileHits;
   Out.Cache.TermHits = Term1.Hits - Term0.Hits;
   Out.Cache.TermMisses = Term1.Misses - Term0.Misses;
-  Out.Cache.EffectHits = Eff1.Hits - Eff0.Hits;
-  Out.Cache.EffectMisses = Eff1.Misses - Eff0.Misses;
   Out.Cache.SimplifyDecided = Solver1.SimplifyDecided - Solver0.SimplifyDecided;
   Out.Cache.FastPathHits = Solver1.FastPathHits - Solver0.FastPathHits;
   Out.Cache.FastPathMisses = Solver1.FastPathMisses - Solver0.FastPathMisses;

@@ -35,13 +35,8 @@ namespace driver {
 /// concurrently with the batch).
 struct BatchCacheStats {
   uint64_t SolverQueries = 0;
-  /// Effect-summary cache hits rehydrated from another compile's
-  /// canonically-equal statement (see analysis::EffectCacheStats).
-  uint64_t EffectCrossCompileHits = 0;
   uint64_t TermHits = 0;
   uint64_t TermMisses = 0;
-  uint64_t EffectHits = 0;
-  uint64_t EffectMisses = 0;
   /// Preprocessing activity (DESIGN.md, "Solver preprocessing"):
   /// queries decided before Cooper, disjointness checks answered by the
   /// effect fast path (and ones that fell back), and the total Cooper

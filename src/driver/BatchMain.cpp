@@ -37,9 +37,9 @@
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
 #include "support/FaultInjector.h"
+#include "support/StringExtras.h"
 #include "support/ThreadPool.h"
-#include "testing/ProgramGen.h"
-#include "testing/ScheduleGen.h"
+#include "testing/Fuzzer.h"
 
 #include "analysis/EffectCache.h"
 
@@ -58,62 +58,15 @@ void clearAllCaches() {
   analysis::clearEffectCache();
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 /// --fuzz N: replace the kernel suite with N randomly generated,
-/// randomly scheduled procedures (the fuzzing harness's generators, see
-/// testing/Fuzzer.h) and push them through the same parallel batch
-/// pipeline. Each job is self-contained and deterministic in its seed,
-/// so retries and worker interleavings cannot change the output.
+/// randomly scheduled procedures (testing::fuzzCompileJob) and push them
+/// through the same parallel batch pipeline. Each job is self-contained
+/// and deterministic in its seed, so retries and worker interleavings
+/// cannot change the output.
 std::vector<CompileJob> fuzzJobs(uint64_t Seed, unsigned N) {
   std::vector<CompileJob> Jobs;
-  for (unsigned I = 0; I < N; ++I) {
-    uint64_t S = Seed + I;
-    CompileJob J;
-    J.Name = "fuzz_p" + std::to_string(S);
-    J.Build = [S]() -> Expected<std::vector<ir::ProcRef>> {
-      auto G = testing::generateProgram(S);
-      if (!G)
-        return G.error();
-      testing::Rng R(S * 7919 + 104730);
-      return std::vector<ir::ProcRef>{
-          testing::generateSchedule(G->Proc, R).Scheduled};
-    };
-    J.BuildReference = [S]() -> Expected<std::vector<ir::ProcRef>> {
-      auto G = testing::generateProgram(S);
-      if (!G)
-        return G.error();
-      return std::vector<ir::ProcRef>{G->Proc};
-    };
-    Jobs.push_back(std::move(J));
-  }
+  for (unsigned I = 0; I < N; ++I)
+    Jobs.push_back(testing::fuzzCompileJob(Seed + I));
   return Jobs;
 }
 
@@ -133,9 +86,7 @@ void writeJson(const std::string &Path, const BatchResult &R) {
       << ",\n  \"deadline_misses\": " << R.NumDeadlineMiss
       << ",\n  \"retried\": " << R.NumRetried
       << ",\n  \"cache\": {\"solver_queries\": " << R.Cache.SolverQueries
-      << ", \"effect_cross_compile_hits\": " << R.Cache.EffectCrossCompileHits
       << ", \"term_hits\": " << R.Cache.TermHits
-      << ", \"effect_hits\": " << R.Cache.EffectHits
       << ", \"simplify_decided\": " << R.Cache.SimplifyDecided
       << ", \"fastpath_hits\": " << R.Cache.FastPathHits
       << ", \"fastpath_misses\": " << R.Cache.FastPathMisses

@@ -9,7 +9,7 @@
 /// (parse + schedule), then generate C — and reports a structured
 /// JobResult instead of throwing or aborting. Sessions are safe to run
 /// concurrently on different threads: the process-wide caches they share
-/// (term interner, effect cache, Sym table, registries) are
+/// (term interner, statement-record table, Sym table, registries) are
 /// individually synchronized, and per-session solver options are installed
 /// thread-locally for the duration of the job. See DESIGN.md, "Threading
 /// model".

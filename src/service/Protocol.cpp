@@ -9,6 +9,7 @@
 #include "support/Deadline.h"
 #include "support/FaultInjector.h"
 #include "support/Signals.h"
+#include "support/StringExtras.h"
 
 #include <cassert>
 #include <cctype>
@@ -77,39 +78,6 @@ Json &Json::push(Json V) {
   assert(K == Kind::Array && "push() on a non-array Json");
   Arr.push_back(std::move(V));
   return *this;
-}
-
-std::string exo::service::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 std::string exo::service::fingerprint(const std::string &S) {

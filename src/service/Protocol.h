@@ -136,9 +136,6 @@ private:
   std::vector<std::pair<std::string, Json>> Obj;
 };
 
-/// JSON string escaping (shared with ad-hoc emitters in the CLIs).
-std::string jsonEscape(const std::string &S);
-
 /// FNV-1a 64-bit as 16 hex digits: the service's output fingerprint (the
 /// soak harness's bit-identity check compares these instead of shipping
 /// whole C files back over the socket).

@@ -6,7 +6,6 @@
 
 #include "service/Server.h"
 
-#include "analysis/EffectCache.h"
 #include "backend/Backend.h"
 #include "driver/CompileSession.h"
 #include "driver/KernelSuite.h"
@@ -15,10 +14,7 @@
 #include "support/Deadline.h"
 #include "support/FaultInjector.h"
 #include "support/Signals.h"
-#include "testing/Oracle.h"
-#include "testing/ProgramGen.h"
-#include "testing/Rng.h"
-#include "testing/ScheduleGen.h"
+#include "testing/Fuzzer.h"
 #include "tuning/Tuner.h"
 
 #include <cerrno>
@@ -539,22 +535,7 @@ Json Server::runCompile(const QueuedJob &J) {
       return R;
     }
   } else if (FuzzSeed >= 0) {
-    uint64_t S = static_cast<uint64_t>(FuzzSeed);
-    Job.Name = "fuzz_p" + std::to_string(S);
-    Job.Build = [S]() -> Expected<std::vector<ir::ProcRef>> {
-      auto G = testing::generateProgram(S);
-      if (!G)
-        return G.error();
-      testing::Rng Rn(S * 7919 + 104730);
-      return std::vector<ir::ProcRef>{
-          testing::generateSchedule(G->Proc, Rn).Scheduled};
-    };
-    Job.BuildReference = [S]() -> Expected<std::vector<ir::ProcRef>> {
-      auto G = testing::generateProgram(S);
-      if (!G)
-        return G.error();
-      return std::vector<ir::ProcRef>{G->Proc};
-    };
+    Job = testing::fuzzCompileJob(static_cast<uint64_t>(FuzzSeed));
   } else {
     R.set("ok", false)
         .set("status", "failed")
@@ -609,7 +590,7 @@ Json Server::runOracle(const QueuedJob &J) {
                                                    G.error().message());
     return R;
   }
-  testing::Rng Rn(Seed * 7919 + 104730);
+  testing::Rng Rn = testing::scheduleRng(Seed, 1);
   testing::OracleCase Case;
   Case.Reference = G->Proc;
   Case.Scheduled = testing::generateSchedule(G->Proc, Rn).Scheduled;
@@ -795,10 +776,9 @@ Json Server::statsJson() const {
     R.set("jit_cache", std::move(S));
   }
 
-  // Long-lived-process gauges: the term interner and the effect cache are
-  // process-wide and survive across requests; a daemon that is slowly
-  // getting slower shows up here first (live nodes climbing, hit rates
-  // falling).
+  // Long-lived-process gauge: the term interner is process-wide and
+  // survives across requests; a daemon that is slowly getting slower shows
+  // up here first (live nodes climbing, hit rates falling).
   {
     smt::TermInternerStats TS = smt::termInternerStats();
     Json S = Json::object();
@@ -807,16 +787,6 @@ Json Server::statsJson() const {
         .set("misses", static_cast<int64_t>(TS.Misses))
         .set("flushes", static_cast<int64_t>(TS.Flushes));
     R.set("term_interner", std::move(S));
-  }
-  {
-    analysis::EffectCacheStats ES = analysis::effectCacheStats();
-    Json S = Json::object();
-    S.set("hits", static_cast<int64_t>(ES.Hits))
-        .set("misses", static_cast<int64_t>(ES.Misses))
-        .set("canon_indexed", static_cast<int64_t>(ES.CanonIndexed))
-        .set("cross_compile_hits",
-             static_cast<int64_t>(ES.CrossCompileHits));
-    R.set("effect_cache", std::move(S));
   }
   {
     tuning::TunerProgress TP = tuning::tunerProgress();

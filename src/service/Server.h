@@ -7,8 +7,8 @@
 /// \file
 /// A long-lived, multi-tenant compile daemon. Clients connect over a unix
 /// or TCP-localhost socket and speak the length-prefixed JSON protocol of
-/// Protocol.h; the daemon keeps the process-wide caches that actually pay
-/// across requests (JIT module cache, effect cache) warm, and amortizes
+/// Protocol.h; the daemon keeps the process-wide cache that actually pays
+/// across requests (the JIT module cache) warm, and amortizes
 /// process startup — a warm compile skips the work a cold exocc-batch
 /// process pays on every run. The term interner is the opposite case:
 /// compiles intern under fresh variable ids, so it only accumulates, and

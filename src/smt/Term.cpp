@@ -26,8 +26,6 @@ TermVar exo::smt::freshVar(const std::string &Name, Sort S) {
   return TermVar{freshVarCounter().fetch_add(1), Name, S};
 }
 
-unsigned exo::smt::freshVarMark() { return freshVarCounter().load(); }
-
 //===----------------------------------------------------------------------===//
 // Hash-consing interner
 //===----------------------------------------------------------------------===//

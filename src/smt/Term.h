@@ -84,13 +84,6 @@ struct TermVar {
 /// Allocates a globally fresh variable.
 TermVar freshVar(const std::string &Name, Sort S);
 
-/// Fence for fresh-variable allocation: every variable minted by freshVar()
-/// after this call has an Id >= the returned mark. Callers bracket a
-/// computation with two marks to detect whether a result mentions variables
-/// created inside the bracket (the effect cache uses this to reject
-/// summaries that would leak per-extraction unknowns).
-unsigned freshVarMark();
-
 /// One node in the term tree.
 class Term {
 public:

@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <cstdio>
 
 using namespace exo;
 
@@ -72,4 +73,37 @@ unsigned exo::countLines(const std::string &S) {
   if (S.back() != '\n')
     ++Lines;
   return Lines;
+}
+
+std::string exo::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
 }

@@ -33,6 +33,9 @@ std::string replaceAll(std::string S, const std::string &From,
 /// not add an extra line). Used by the Fig. 7 code-size harness.
 unsigned countLines(const std::string &S);
 
+/// Escapes \p S for use inside a JSON string literal (without the quotes).
+std::string jsonEscape(const std::string &S);
+
 } // namespace exo
 
 #endif // EXO_SUPPORT_STRINGEXTRAS_H

@@ -21,12 +21,6 @@ using namespace exo::testing;
 
 namespace {
 
-/// The schedule driver's RNG for (program seed, variant); shared with
-/// makeCorpusCase so --emit-corpus pins exactly the cases the loop runs.
-Rng scheduleRng(uint64_t Seed, unsigned Variant) {
-  return Rng(Seed * 7919 + static_cast<uint64_t>(Variant) * 104729 + 1);
-}
-
 std::map<std::string, int64_t> controlsOf(const std::vector<ArgSpec> &Args) {
   std::map<std::string, int64_t> M;
   for (const ArgSpec &A : Args)
@@ -44,6 +38,29 @@ struct CaseMeta {
 };
 
 } // namespace
+
+Rng exo::testing::scheduleRng(uint64_t Seed, unsigned Variant) {
+  return Rng(Seed * 7919 + static_cast<uint64_t>(Variant) * 104729 + 1);
+}
+
+driver::CompileJob exo::testing::fuzzCompileJob(uint64_t Seed) {
+  driver::CompileJob J;
+  J.Name = "fuzz_p" + std::to_string(Seed);
+  J.Build = [Seed]() -> Expected<std::vector<ir::ProcRef>> {
+    auto G = generateProgram(Seed);
+    if (!G)
+      return G.error();
+    Rng R = scheduleRng(Seed, 1);
+    return std::vector<ir::ProcRef>{generateSchedule(G->Proc, R).Scheduled};
+  };
+  J.BuildReference = [Seed]() -> Expected<std::vector<ir::ProcRef>> {
+    auto G = generateProgram(Seed);
+    if (!G)
+      return G.error();
+    return std::vector<ir::ProcRef>{G->Proc};
+  };
+  return J;
+}
 
 Expected<CorpusCase> exo::testing::makeCorpusCase(uint64_t Seed,
                                                   unsigned Variant,

@@ -23,6 +23,7 @@
 #ifndef EXO_TESTING_FUZZER_H
 #define EXO_TESTING_FUZZER_H
 
+#include "driver/CompileSession.h"
 #include "testing/Corpus.h"
 
 namespace exo {
@@ -134,6 +135,17 @@ Expected<std::string> writeReproducer(const std::string &Dir,
 Expected<CorpusCase> makeCorpusCase(uint64_t Seed, unsigned Variant,
                                     const GenOptions &GO,
                                     const ScheduleGenOptions &SO);
+
+/// The schedule driver's RNG for program seed \p Seed and schedule
+/// variant \p Variant (variant 0 is the unscheduled program). The fuzz
+/// loop draws variants 1..SchedulesPerProgram; a single fuzz compile
+/// (fuzzCompileJob, exocc-serve's `oracle` op) uses variant 1.
+Rng scheduleRng(uint64_t Seed, unsigned Variant);
+
+/// The compile job for fuzz program \p Seed: generateProgram(Seed) under
+/// default options, scheduled by generateSchedule with scheduleRng(Seed,
+/// 1), named "fuzz_p<Seed>", with the unscheduled program as reference.
+driver::CompileJob fuzzCompileJob(uint64_t Seed);
 
 /// Renders the BENCH_fuzz.json payload.
 std::string statsJson(const FuzzReport &R, const FuzzOptions &O);

@@ -21,12 +21,13 @@
 /// bit-identical across tenants and time (fingerprint check), and the
 /// daemon survives to drain cleanly.
 ///
-/// Bench (--bench): measures the service's reason to exist. Cold: fork a
+/// Bench (--bench): measures the service's reason to exist. Cold: spawn a
 /// fresh exocc-batch per repetition (process start + cold caches every
 /// time). Warm: one daemon, repeated compile requests over one
-/// connection. Writes BENCH_serve.json and fails (exit 1) when the warm
-/// path is not at least --min-speedup times faster — the CI tripwire
-/// that keeps the daemon earning its keep.
+/// connection. The cold reps are interleaved among the warm ones and the
+/// two medians compared. Writes BENCH_serve.json and fails (exit 1) when
+/// the warm path is not at least --min-speedup times faster — the CI
+/// tripwire that keeps the daemon earning its keep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +35,10 @@
 
 #include "support/Deadline.h"
 #include "support/FaultInjector.h"
+#include "support/Process.h"
 #include "support/Signals.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -48,8 +51,6 @@
 #include <thread>
 #include <vector>
 
-#include <cerrno>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -153,34 +154,6 @@ pid_t spawnServer(const SoakFlags &F, const std::string &Journal) {
   ::execv(F.ServeBin.c_str(), Argv.data());
   std::perror("execv exocc-serve");
   ::_exit(127);
-}
-
-/// Runs \p Args (Args[0] is the binary, executed directly: no shell, so
-/// paths may contain spaces) with stdout and stderr sent to /dev/null.
-/// Returns its exit code, 128 + the signal that killed it, or -1 when it
-/// could not be started or waited for.
-int runQuiet(const std::vector<std::string> &Args) {
-  std::vector<char *> Argv;
-  for (const std::string &A : Args)
-    Argv.push_back(const_cast<char *>(A.c_str()));
-  Argv.push_back(nullptr);
-  pid_t Pid = ::fork();
-  if (Pid < 0)
-    return -1;
-  if (Pid == 0) {
-    int Null = ::open("/dev/null", O_WRONLY);
-    if (Null >= 0) {
-      ::dup2(Null, 1);
-      ::dup2(Null, 2);
-    }
-    ::execv(Argv[0], Argv.data());
-    ::_exit(127);
-  }
-  int Status = 0;
-  while (::waitpid(Pid, &Status, 0) < 0)
-    if (errno != EINTR)
-      return -1;
-  return WIFEXITED(Status) ? WEXITSTATUS(Status) : 128 + WTERMSIG(Status);
 }
 
 Expected<ClientConnection> connectWithRetry(const std::string &Path,
@@ -502,26 +475,28 @@ int runSoak(const SoakFlags &F) {
 // Warm-vs-cold bench
 //===----------------------------------------------------------------------===//
 
+/// Milliseconds since \p T0 on the steady clock, at microsecond resolution.
+double msSince(std::chrono::steady_clock::time_point T0) {
+  auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - T0);
+  return static_cast<double>(Us.count()) / 1000.0;
+}
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
+}
+
 int runBench(const SoakFlags &F) {
   if (F.ServeBin.empty() || F.BatchBin.empty()) {
     std::fprintf(stderr, "bench: --serve and --batch are required\n");
     return 2;
   }
-
-  // Cold side: a fresh process per repetition, the way a Makefile-driven
-  // build would invoke the compiler.
-  double ColdTotal = 0;
-  for (unsigned I = 0; I < F.ColdReps; ++I) {
-    int64_t T0 = nowMillis();
-    int Rc = runQuiet({F.BatchBin, F.Kernel});
-    int64_t T1 = nowMillis();
-    if (Rc != 0) {
-      std::fprintf(stderr, "bench: cold run failed (rc=%d)\n", Rc);
-      return 1;
-    }
-    ColdTotal += static_cast<double>(T1 - T0);
+  if (F.WarmReps == 0 || F.ColdReps == 0) {
+    std::fprintf(stderr, "bench: --warm-reps and --cold-reps must be >= 1\n");
+    return 2;
   }
-  double ColdMs = ColdTotal / F.ColdReps;
 
   // Warm side: one daemon, one connection, repeated compiles of the same
   // kernel. The first request pays the cold cost and is excluded.
@@ -541,9 +516,9 @@ int runBench(const SoakFlags &F) {
   auto CompileOnce = [&](const std::string &Id) -> double {
     Json Req = Json::object();
     Req.set("op", "compile").set("id", Id).set("kernel", F.Kernel);
-    int64_t T0 = nowMillis();
+    auto T0 = std::chrono::steady_clock::now();
     Expected<Json> R = C->call(Req, 60000);
-    int64_t T1 = nowMillis();
+    double Ms = msSince(T0);
     if (!R || R->getString("status") != "ok")
       return -1;
     if (::getenv("EXO_SOAK_VERBOSE")) {
@@ -555,11 +530,11 @@ int runBench(const SoakFlags &F) {
         if (const Json *TI = S->get("term_interner"))
           Gauges += " terms=" + TI->dump();
       }
-      std::fprintf(stderr, "bench: %s client=%lld ms server=%s ms%s\n",
-                   Id.c_str(), static_cast<long long>(T1 - T0),
-                   W ? W->dump().c_str() : "?", Gauges.c_str());
+      std::fprintf(stderr, "bench: %s client=%.3f ms server=%s ms%s\n",
+                   Id.c_str(), Ms, W ? W->dump().c_str() : "?",
+                   Gauges.c_str());
     }
-    return static_cast<double>(T1 - T0);
+    return Ms;
   };
 
   if (CompileOnce("warmup") < 0) {
@@ -567,17 +542,39 @@ int runBench(const SoakFlags &F) {
     ::kill(Server, SIGKILL);
     return 1;
   }
-  double WarmTotal = 0;
-  for (unsigned I = 0; I < F.WarmReps; ++I) {
-    double Ms = CompileOnce("warm-" + std::to_string(I));
+
+  // Cold side: a fresh exocc-batch process per repetition, the way a
+  // Makefile-driven build would invoke the compiler. Cold rep J runs
+  // once J/ColdReps of the warm reps are done, so both sides sample the
+  // same stretch of host load.
+  std::vector<double> Cold, Warm;
+  while (Cold.size() < F.ColdReps || Warm.size() < F.WarmReps) {
+    bool ColdDue =
+        Cold.size() < F.ColdReps &&
+        (Warm.size() == F.WarmReps ||
+         Cold.size() * F.WarmReps <= Warm.size() * F.ColdReps);
+    if (ColdDue) {
+      auto T0 = std::chrono::steady_clock::now();
+      // Spawned directly, not through a shell, so the path may contain
+      // spaces; its output goes to /dev/null.
+      int Rc = support::runCommands(
+          {{{F.BatchBin, F.Kernel}, "/dev/null", "/dev/null"}})[0];
+      Cold.push_back(msSince(T0));
+      if (Rc != 0) {
+        std::fprintf(stderr, "bench: cold run failed (rc=%d)\n", Rc);
+        ::kill(Server, SIGKILL);
+        return 1;
+      }
+      continue;
+    }
+    double Ms = CompileOnce("warm-" + std::to_string(Warm.size()));
     if (Ms < 0) {
       std::fprintf(stderr, "bench: warm compile failed\n");
       ::kill(Server, SIGKILL);
       return 1;
     }
-    WarmTotal += Ms;
+    Warm.push_back(Ms);
   }
-  double WarmMs = WarmTotal / F.WarmReps;
 
   {
     Json DReq = Json::object();
@@ -587,6 +584,9 @@ int runBench(const SoakFlags &F) {
     ::waitpid(Server, &Status, 0);
   }
 
+  // Medians, not means: one slow rep (a neighbour's burst of load) must
+  // not decide the tripwire.
+  double ColdMs = median(Cold), WarmMs = median(Warm);
   double Speedup = WarmMs > 0 ? ColdMs / WarmMs : 0;
 
   Json Out = Json::object();
@@ -594,16 +594,18 @@ int runBench(const SoakFlags &F) {
       .set("kernel", F.Kernel)
       .set("cold_reps", static_cast<int64_t>(F.ColdReps))
       .set("warm_reps", static_cast<int64_t>(F.WarmReps))
-      .set("cold_ms_per_job", ColdMs)
-      .set("warm_ms_per_job", WarmMs)
+      .set("cold_ms_min", *std::min_element(Cold.begin(), Cold.end()))
+      .set("cold_ms_median", ColdMs)
+      .set("warm_ms_min", *std::min_element(Warm.begin(), Warm.end()))
+      .set("warm_ms_median", WarmMs)
       .set("speedup", Speedup)
       .set("min_speedup", F.MinSpeedup);
   {
     std::ofstream OutF(F.JsonPath);
     OutF << Out.dump() << "\n";
   }
-  std::printf("bench: cold %.1f ms/job, warm %.1f ms/job, speedup %.2fx "
-              "(tripwire %.2fx) -> %s\n",
+  std::printf("bench: cold %.2f ms/job, warm %.2f ms/job (medians), "
+              "speedup %.2fx (tripwire %.2fx) -> %s\n",
               ColdMs, WarmMs, Speedup, F.MinSpeedup, F.JsonPath.c_str());
 
   if (Speedup < F.MinSpeedup) {

@@ -30,6 +30,7 @@
 
 #include "tuning/Tuner.h"
 
+#include "support/StringExtras.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -43,35 +44,6 @@ using namespace exo::testing;
 using namespace exo::tuning;
 
 namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 const char *const Usage =
     "usage: exocc-tune [--kernel NAME] [--shape NxMxK] [--pop N]\n"
@@ -154,9 +126,6 @@ void writeJson(const std::string &Path, const TuneOptions &O,
       Out << "  \"best_vs_handwritten\": "
           << R.Best.Eval.Score / R.Handwritten.Score << ",\n";
   }
-  Out << "  \"effect_cache\": {\"hits\": " << R.Stats.EffectHits
-      << ", \"cross_compile_hits\": " << R.Stats.EffectCrossCompileHits
-      << "},\n";
   Out << "  \"jit\": {\"compiles\": " << R.Stats.JitCompiles
       << ", \"hits\": " << R.Stats.JitHits << "},\n";
   Out << "  \"generation_log\": [";
@@ -204,11 +173,10 @@ void printResult(const TuneOptions &O, const TuneResult &R) {
                   R.Best.Eval.Score / R.Handwritten.Score);
     std::printf("\n");
   }
-  std::printf("  %llu candidates in %.0f ms (%.2f/s); effect cache: %llu "
-              "cross-compile hits; jit: %llu modules compiled, %llu hits\n",
+  std::printf("  %llu candidates in %.0f ms (%.2f/s); jit: %llu modules "
+              "compiled, %llu hits\n",
               (unsigned long long)R.Stats.Tried, R.Stats.WallMillis,
               R.Stats.CandidatesPerSec,
-              (unsigned long long)R.Stats.EffectCrossCompileHits,
               (unsigned long long)R.Stats.JitCompiles,
               (unsigned long long)R.Stats.JitHits);
 }

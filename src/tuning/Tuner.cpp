@@ -6,7 +6,6 @@
 
 #include "tuning/Tuner.h"
 
-#include "analysis/EffectCache.h"
 #include "backend/Backend.h"
 #include "support/Deadline.h"
 #include "support/ThreadPool.h"
@@ -83,7 +82,6 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
 
   ++GRunsStarted;
   double T0 = support::nowMillisPrecise();
-  analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
   backend::JitBackend::CacheStats Jit0 = backend::JitBackend::cacheStats();
 
   CostModel CM(O.Shape, O.Score);
@@ -197,11 +195,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
     }
   }
 
-  analysis::EffectCacheStats Eff1 = analysis::effectCacheStats();
   backend::JitBackend::CacheStats Jit1 = backend::JitBackend::cacheStats();
-  Out.Stats.EffectHits = Eff1.Hits - Eff0.Hits;
-  Out.Stats.EffectCrossCompileHits =
-      Eff1.CrossCompileHits - Eff0.CrossCompileHits;
   Out.Stats.JitCompiles = Jit1.Compiles - Jit0.Compiles;
   Out.Stats.JitHits = Jit1.Hits - Jit0.Hits;
   Out.Stats.WallMillis = support::nowMillisPrecise() - T0;

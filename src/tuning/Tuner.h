@@ -62,7 +62,6 @@ struct TuneStats {
   unsigned GenerationsRun = 0;
   double WallMillis = 0;
   double CandidatesPerSec = 0;
-  uint64_t EffectHits = 0, EffectCrossCompileHits = 0;
   /// JIT modules compiled, not candidates: a generation builds at most
   /// one module per evaluation thread.
   uint64_t JitCompiles = 0, JitHits = 0;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Hammers every shared compiler structure — the sharded term interner,
-/// the striped solver query cache, the effect-summary cache, the symbol
+/// the striped solver query cache, the statement-record table, the symbol
 /// table, the thread pool itself, the autotuner's concurrent module
 /// builds and executions, and JIT modules split into translation units
 /// built side by side — from many threads at once, and asserts the
@@ -121,7 +121,6 @@ smt::SolverResult tileQuery(int64_t Factor) {
 TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
   analysis::clearEffectCache();
   ProcRef P = parseGemm();
-  analysis::EffectCacheStats Before = analysis::effectCacheStats();
 
   std::atomic<unsigned> Failures{0};
   onThreads([&](unsigned T) {
@@ -134,14 +133,12 @@ TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
     }
   });
   EXPECT_EQ(Failures.load(), 0u);
-  analysis::EffectCacheStats After = analysis::effectCacheStats();
-  EXPECT_GT(After.Hits, Before.Hits);
 }
 
 TEST(ConcurrencyTest, LoopVarUnpinningRacesWithInserts) {
   // Even threads pin fresh For nodes past the record cap, so shards flush
-  // and unpin loop variables; odd threads extract fresh procs, whose
-  // inserts read the pinned set in their leak check. The set must stay
+  // and drop their pinned loop variables; odd threads extract fresh procs,
+  // pinning loop variables of their own. The pinned variables must stay
   // within the cap of 1024 records.
   analysis::clearEffectCache();
   Sym Iter = Sym::fresh("t");
@@ -164,7 +161,7 @@ TEST(ConcurrencyTest, LoopVarUnpinningRacesWithInserts) {
 TEST(ConcurrencyTest, ParallelSchedulingEmitsBitIdenticalC) {
   // The end-to-end determinism claim: compile the same schedule on every
   // thread — each from its own freshly parsed proc, all banging the same
-  // interner and effect cache — and the generated C must be
+  // interner and statement-record table — and the generated C must be
   // byte-for-byte the serial result.
   auto Compile = []() -> std::string {
     ProcRef P = parseGemm();

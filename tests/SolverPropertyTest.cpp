@@ -316,8 +316,7 @@ class CacheDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 /// The term interner is the one cache every solve goes through, and a
 /// verdict depends only on the query up to renaming: solving with the
 /// interner cold, re-solving with it warm, and solving an alpha-renamed
-/// re-posing over fresh variables all return the same verdict. The
-/// effect cache's cross-compile rehydration relies on that invariance.
+/// re-posing over fresh variables all return the same verdict.
 TEST_P(CacheDifferentialTest, WarmEqualsColdAndAlphaVariantsHit) {
   auto makeQueries = [](const std::vector<TermVar> &Vars, unsigned Seed) {
     FormulaGen Gen(Seed, Vars);

@@ -369,11 +369,6 @@ TEST(Tuner, RediscoversGemminiScheduleWithinBudget) {
   EXPECT_GT(R.Stats.Tried, 0u);
   EXPECT_GT(R.Stats.CandidatesPerSec, 0.0);
 
-  // The search's analysis work must show up in the cross-compile gauge:
-  // sibling candidates share effect summaries through the effect cache's
-  // canonical index.
-  EXPECT_GT(R.Stats.EffectCrossCompileHits, 0u);
-
   // Progress counters (exocc-serve's stats op reads these) advanced.
   TunerProgress After = tunerProgress();
   EXPECT_GT(After.RunsFinished, Before.RunsFinished);
