@@ -30,6 +30,8 @@ std::string exo::bench::avx512RuntimeDir() {
   return std::string(EXO_SOURCE_DIR) + "/src/hwlibs/avx512/runtime";
 }
 
+std::string exo::bench::gemminiSimObject() { return EXO_GEMMINI_SIM_OBJ; }
+
 Expected<std::vector<std::string>>
 exo::bench::compileAndRun(const std::string &CSource,
                           const std::vector<std::string> &ExtraSources,

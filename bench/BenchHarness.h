@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Shared plumbing for the per-figure benchmark binaries: each harness
-/// generates C from the scheduled Exo procedures, compiles it together
-/// with the simulator runtimes using the system C compiler, runs the
+/// generates C from the scheduled Exo procedures, compiles it with the
+/// system C compiler and links the prebuilt simulator object, runs the
 /// resulting program, and parses the numbers it prints back.
 ///
 //===----------------------------------------------------------------------===//
@@ -35,6 +35,10 @@ compileAndRun(const std::string &CSource,
 /// Repository-relative runtime directories (set via compile definitions).
 std::string gemminiRuntimeDir();
 std::string avx512RuntimeDir();
+
+/// The build tree's prebuilt Gemmini simulator object, the one every JIT
+/// module links: harnesses pass it to compileAndRun as an extra source.
+std::string gemminiSimObject();
 
 /// Pretty table-row printing: pads each cell to the column width.
 void printRow(const std::vector<std::string> &Cells,

@@ -56,7 +56,7 @@ int main(void) {
 }
 )";
   auto Out = compileAndRun(*CSrc + Main,
-                           {gemminiRuntimeDir() + "/gemmini_sim.c"},
+                           {gemminiSimObject()},
                            {gemminiRuntimeDir()});
   if (!Out || Out->size() < 4) {
     std::fprintf(stderr, "harness failed\n");

@@ -127,7 +127,7 @@ int main() {
       return 1;
     }
     auto Out = compileAndRun(*CSrc + mainHarness(S),
-                             {gemminiRuntimeDir() + "/gemmini_sim.c"},
+                             {gemminiSimObject()},
                              {gemminiRuntimeDir()});
     if (!Out || Out->size() < 4) {
       std::fprintf(stderr, "harness failed: %s\n",

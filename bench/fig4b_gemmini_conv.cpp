@@ -130,7 +130,7 @@ int main() {
       return 1;
     }
     auto Out = compileAndRun(*CSrc + mainHarness(C.Shape),
-                             {gemminiRuntimeDir() + "/gemmini_sim.c"},
+                             {gemminiSimObject()},
                              {gemminiRuntimeDir()});
     if (!Out || Out->size() < 4) {
       std::fprintf(stderr, "harness failed: %s\n",

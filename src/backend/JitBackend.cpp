@@ -182,8 +182,8 @@ JitModuleRef compileModule(const LoweredModule &M) {
   // -O0 halves compile time vs -O1 and execution is bit-identical on the
   // integer-exact data the oracle feeds; -w because generated code is
   // warning-noisy under harnesses and the diagnostics go nowhere.
-  // The simulator objects are built with these same flags (minus
-  // -shared), so the simulator bytes in every module are identical.
+  // The simulator objects every module links are prebuilt once at -O2
+  // (src/CMakeLists.txt), so their flags cost no module any cc time.
   const std::vector<std::string> Flags = {"-O0", "-w", "-pipe", "-std=c11",
                                           "-fPIC"};
   std::vector<std::vector<size_t>> Plan =

@@ -43,7 +43,8 @@ struct SearchSpace {
   /// unscheduled algorithm is a scored member of every population).
   std::vector<std::vector<testing::ScheduleStep>> Seeds;
   /// The hand-written schedule to beat, when the kernel has one (null
-  /// otherwise). For "gemmini_matmul" this is the paper's ExoLib.
+  /// otherwise). For "gemmini_matmul" this is the paper's ExoLib, named
+  /// like Algorithm.
   ir::ProcRef Handwritten;
 };
 

@@ -301,16 +301,24 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "exocc-tune: %s\n", Space.error().str().c_str());
       return 2;
     }
-    CostModel CM(O.Shape, O.Score);
-    if (Space->Handwritten) {
-      R.Handwritten = CM.evaluate(Space->Handwritten);
-      R.HaveHandwritten = R.Handwritten.Ok;
-    }
     LenientApplyResult A = applyTraceLenient(Space->Algorithm, *Trace);
     R.Best.Trace = *Trace;
     R.Best.Applied = A.Applied;
     R.Best.Rejected = A.Rejected;
-    R.Best.Eval = CM.evaluate(A.Final);
+    // The trace and the hand-written baseline score in one batch, so one
+    // module round: two modules built side by side (one shared module
+    // with --threads 1), or one entry when the trace spells the baseline.
+    std::vector<ir::ProcRef> Procs = {A.Final};
+    if (Space->Handwritten)
+      Procs.push_back(Space->Handwritten);
+    CostModel CM(O.Shape, O.Score);
+    support::ThreadPool Pool(O.Threads == 1 ? 0 : 2);
+    std::vector<EvalResult> Evals = CM.evaluate(Procs, Pool);
+    R.Best.Eval = Evals[0];
+    if (Space->Handwritten) {
+      R.Handwritten = Evals[1];
+      R.HaveHandwritten = R.Handwritten.Ok;
+    }
     R.Ok = R.Best.Eval.Ok;
     R.Stats.Tried = 1;
     R.Stats.Ok = R.Ok ? 1 : 0;

@@ -12,8 +12,9 @@
 // simulator state kept private to each module, the region registry reset
 // before every call, instruction globals that link the simulator, the
 // AMX and Gemmini matmul case studies end-to-end through both backends,
-// compiles under paths with spaces, and the JIT's split of a module into
-// translation units (grouping, unit failures, a split fuzz block).
+// compiles under paths with spaces, the JIT's split of a module into
+// translation units (grouping, unit failures, a split fuzz block), and
+// the simulator objects' float results, bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +22,12 @@
 #include "backend/BackendImpl.h"
 
 #include "WideModule.h"
+#include "amx_sim.h"
 #include "apps/AmxMatmul.h"
 #include "apps/GemminiMatmul.h"
 #include "driver/KernelSuite.h"
 #include "frontend/Parser.h"
+#include "gemmini_sim.h"
 #include "hwlibs/gemmini/GemminiLib.h"
 #include "support/TempDir.h"
 #include "testing/Corpus.h"
@@ -33,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <cstdlib>
 #include <filesystem>
@@ -877,4 +881,82 @@ TEST(JitUnits, SplitFuzzBlockAgreesAcrossBackends) {
     EXPECT_EQ(PerBackend[0][I].Status, PerBackend[1][I].Status)
         << "case " << I << ": " << PerBackend[1][I].Detail;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The simulator objects' build flags
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Fixed non-integer inputs: sums of products of these round differently
+/// when a multiply and an add fuse.
+std::vector<float> simOperand(uint32_t Seed) {
+  std::vector<float> V(16 * 16);
+  for (float &X : V) {
+    Seed = Seed * 1103515245u + 12345u;
+    X = static_cast<float>((Seed >> 8) & 0xffff) / 4096.0f - 7.9f;
+  }
+  return V;
+}
+
+/// C[i,j] += sum over k of A[i,k] * B[k,j], summed from k = 0 into a float
+/// that starts at 0, every product rounded on its own: the simulators'
+/// order. The volatile keeps this loop from fusing a multiply-add too.
+std::vector<float> referenceTileMatmul(const std::vector<float> &A,
+                                       const std::vector<float> &B,
+                                       std::vector<float> C) {
+  for (int I = 0; I < 16; ++I)
+    for (int J = 0; J < 16; ++J) {
+      float Sum = 0.0f;
+      for (int K = 0; K < 16; ++K) {
+        volatile float Product = A[I * 16 + K] * B[K * 16 + J];
+        Sum += Product;
+      }
+      C[I * 16 + J] += Sum;
+    }
+  return C;
+}
+
+void expectSameBits(const std::vector<float> &Got,
+                    const std::vector<float> &Want, const char *What) {
+  ASSERT_EQ(Got.size(), Want.size());
+  size_t Differ = 0;
+  for (size_t I = 0; I < Got.size(); ++I) {
+    uint32_t G, W;
+    std::memcpy(&G, &Got[I], sizeof G);
+    std::memcpy(&W, &Want[I], sizeof W);
+    if (G != W && Differ++ == 0)
+      ADD_FAILURE() << What << ": element " << I << " is " << Got[I]
+                    << ", the reference order gives " << Want[I];
+  }
+  EXPECT_EQ(Differ, 0u) << What << ": elements that differ in any bit";
+}
+
+} // namespace
+
+TEST(SimulatorObjects, TileMatmulsAreBitExactInSourceOrder) {
+  // The host process links the same archived simulator objects as every
+  // module. Built with -march=native and contraction on, the matmul loops
+  // fuse multiply-adds and these results drift in the last bits.
+  std::vector<float> A = simOperand(1), B = simOperand(2), C0 = simOperand(3);
+  std::vector<float> Want = referenceTileMatmul(A, B, C0);
+
+  std::vector<float> C = C0;
+  gemmini_clear_regions();
+  gemmini_reset(EXO_GEMMINI_MODE_SW);
+  uint64_t GemminiTraps = gemmini_trap_count();
+  gemmini_matmul(A.data(), 16, B.data(), 16, C.data(), 16, 16, 16, 16);
+  EXPECT_EQ(gemmini_trap_count(), GemminiTraps);
+  EXPECT_EQ(gemmini_stat_matmuls(), 1u);
+  expectSameBits(C, Want, "gemmini_matmul");
+
+  C = C0;
+  amx_clear_regions();
+  amx_reset();
+  uint64_t AmxTraps = amx_trap_count();
+  amx_tile_dp(A.data(), 16, B.data(), 16, C.data(), 16, 16, 16, 16);
+  EXPECT_EQ(amx_trap_count(), AmxTraps);
+  EXPECT_EQ(amx_stat_tdps(), 1u);
+  expectSameBits(C, Want, "amx_tile_dp");
 }

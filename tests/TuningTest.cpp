@@ -376,6 +376,39 @@ TEST(Tuner, RediscoversGemminiScheduleWithinBudget) {
             Before.CandidatesTried + R.Stats.Tried);
 }
 
+TEST(Tuner, HandwrittenScoredInGenerationZeroBatch) {
+  // The hand-written baseline rides in generation zero's batch: the F=16
+  // seed with stages and hoist generates its C, so it adds no module, it
+  // is not a candidate, and it scores exactly as it does alone.
+  TuneOptions O;
+  O.Kernel = "gemmini_matmul";
+  O.Population = 10; // generation zero == the seed templates
+  O.Generations = 1;
+  O.Beam = 4;
+  O.Seed = 1;
+  O.Threads = 2;
+  TuneResult R = tune(O);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_LE(R.Stats.JitCompiles, 2u) << "one module per thread, in all";
+  EXPECT_EQ(R.Stats.Tried, O.Population);
+
+  auto Space = buildSearchSpace(O.Kernel, O.Shape);
+  ASSERT_TRUE(Space) << Space.error().str();
+  EvalResult Alone = CostModel(O.Shape, O.Score).evaluate(Space->Handwritten);
+  ASSERT_TRUE(Alone.Ok) << Alone.FailStage << ": " << Alone.Detail;
+  EXPECT_EQ(Alone.SimCycles, 14866u);
+  EXPECT_EQ(Alone.SimMatmuls, 512u);
+  ASSERT_TRUE(R.HaveHandwritten);
+  expectSameVerdict(R.Handwritten, Alone, "baseline in generation zero");
+
+  // A budget that cuts generation zero to one candidate still scores it.
+  O.MaxCandidates = 1;
+  TuneResult Cut = tune(O);
+  EXPECT_EQ(Cut.Stats.Tried, 1u);
+  ASSERT_TRUE(Cut.HaveHandwritten);
+  expectSameVerdict(Cut.Handwritten, Alone, "baseline beside one candidate");
+}
+
 TEST(Tuner, DeterministicAcrossThreadCounts) {
   TuneOptions O;
   O.Kernel = "gemmini_matmul";
