@@ -25,7 +25,6 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/EffectCache.h"
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
 #include "smt/Simplify.h"
@@ -94,7 +93,6 @@ int main(int argc, char **argv) {
            {11, 4, 10, 9, 9, 8, 8, 12, 9});
   for (Row &R : Rows) {
     smt::setSimplifyConfig(R.Cfg);
-    analysis::clearEffectCache();
     smt::resetSolverGlobalStats();
     BatchResult B = BatchDriver(1).run(standardKernelSuite());
     R.Ms = B.WallMillis;

@@ -19,7 +19,6 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/EffectCache.h"
 #include "apps/GemminiMatmul.h"
 #include "smt/Simplify.h"
 #include "smt/Solver.h"
@@ -53,8 +52,6 @@ int main() {
            {10, 9, 10, 11, 11, 40});
   for (uint64_t Budget : Budgets) {
     smt::setDefaultMaxLiterals(Budget);
-    // Fresh caches per row, so every row pays its own effect extraction.
-    analysis::clearEffectCache();
     smt::resetSolverGlobalStats();
     auto T0 = std::chrono::steady_clock::now();
     auto K = apps::buildGemminiMatmul(128, 128, 128);

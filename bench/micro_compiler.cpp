@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Checks.h"
-#include "analysis/EffectCache.h"
 #include "apps/Sgemm.h"
 #include "backend/CodeGen.h"
 #include "frontend/Parser.h"
@@ -98,11 +97,9 @@ void BM_StageMem(benchmark::State &State) {
 BENCHMARK(BM_StageMem);
 
 void BM_EffectExtraction(benchmark::State &State) {
-  // The extraction recursion over gemm; the statement-record table is
-  // cleared every iteration so loop variables are pinned afresh each time.
+  // The extraction recursion over gemm, in a fresh context each iteration.
   ProcRef P = gemm();
   for (auto _ : State) {
-    analysis::clearEffectCache();
     analysis::AnalysisCtx Ctx;
     analysis::FlowState FS;
     auto E = analysis::extractBlock(Ctx, FS, P->body());

@@ -15,7 +15,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/EffectCache.h"
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
 #include "support/ThreadPool.h"
@@ -29,7 +28,6 @@ namespace {
 
 void coldCaches() {
   smt::clearTermInterner();
-  analysis::clearEffectCache();
   smt::resetSolverGlobalStats();
 }
 

@@ -6,7 +6,6 @@
 
 #include "analysis/Dataflow.h"
 
-#include "analysis/EffectCache.h"
 #include "ir/Subst.h"
 
 #include <algorithm>
@@ -72,11 +71,30 @@ Block exo::analysis::substitutedCalleeBody(const StmtRef &CallStmt) {
   return refreshBinders(substBlock(Callee->body(), Map));
 }
 
+bool exo::analysis::isStateInvariant(const StmtRef &S) {
+  // Only If/For have statement children, and the three state-touching
+  // kinds poison the whole subtree.
+  switch (S->kind()) {
+  case StmtKind::WriteConfig:
+  case StmtKind::WindowStmt:
+  case StmtKind::Call:
+    return false;
+  case StmtKind::If:
+    return std::all_of(S->body().begin(), S->body().end(), isStateInvariant) &&
+           std::all_of(S->orelse().begin(), S->orelse().end(),
+                       isStateInvariant);
+  case StmtKind::For:
+    return std::all_of(S->body().begin(), S->body().end(), isStateInvariant);
+  default:
+    return true;
+  }
+}
+
 void exo::analysis::flowStmt(AnalysisCtx &Ctx, FlowState &State,
                              const StmtRef &S) {
   // State-invariant subtrees (no WriteConfig/WindowStmt/Call anywhere
-  // inside) are identities on the flow state; the memoized predicate makes
-  // this a constant-time skip of the If/For recursion below.
+  // inside) are identities on the flow state: skip the If/For recursion
+  // below.
   if (isStateInvariant(S))
     return;
   switch (S->kind()) {

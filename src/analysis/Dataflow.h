@@ -51,6 +51,12 @@ std::pair<ir::Sym, std::vector<EffInt>>
 resolveLocation(const FlowState &State, ir::Sym Name,
                 std::vector<EffInt> Coords);
 
+/// True iff extracting \p S can neither read nor write dataflow state: no
+/// WriteConfig, WindowStmt, or Call occurs in its subtree. flowStmt uses
+/// it as an identity fast path, on a statement and on each statement of a
+/// callee's body.
+bool isStateInvariant(const ir::StmtRef &S);
+
 /// Advances the state across one statement / a whole block (ValG).
 /// Loop bodies use the paper's stabilization heuristic; a call is
 /// processed by substituting arguments into the callee body, unless every

@@ -6,33 +6,13 @@
 
 #include "analysis/EffExpr.h"
 
-#include <mutex>
+#include <cassert>
 
 using namespace exo;
 using namespace exo::analysis;
 using namespace exo::smt;
 using ir::BinOpKind;
 using ir::ExprKind;
-
-namespace {
-
-/// Process-wide Sym ↔ solver-var registry shared by every AnalysisCtx (see
-/// the class comment in EffExpr.h). ir::Sym ids are globally unique, so
-/// entries never conflict and the maps only grow.
-struct SymRegistry {
-  std::mutex M;
-  std::unordered_map<ir::Sym, TermVar> Vars;
-  std::unordered_map<unsigned, ir::Sym> VarSyms;
-  std::map<std::pair<ir::Sym, unsigned>, TermRef> Strides;
-  std::unordered_map<unsigned, std::pair<ir::Sym, unsigned>> StrideSyms;
-
-  static SymRegistry &get() {
-    static SymRegistry R;
-    return R;
-  }
-};
-
-} // namespace
 
 TriBool exo::analysis::triAnd(const TriBool &A, const TriBool &B) {
   return {mkAnd(A.Must, B.Must), mkAnd(A.May, B.May)};
@@ -91,48 +71,50 @@ TriBool exo::analysis::triEq(const EffInt &A, const EffInt &B) {
 }
 
 TermVar AnalysisCtx::varFor(ir::Sym S) {
-  SymRegistry &R = SymRegistry::get();
-  std::lock_guard<std::mutex> Lock(R.M);
-  auto It = R.Vars.find(S);
-  if (It != R.Vars.end())
+  auto It = Vars.find(S);
+  if (It != Vars.end())
     return It->second;
   TermVar V = freshVar(S.name(), Sort::Int);
-  R.Vars.emplace(S, V);
-  R.VarSyms.emplace(V.Id, S);
+  Vars.emplace(S, V);
+  VarSyms.emplace(V.Id, S);
   return V;
 }
 
 std::optional<ir::Sym> AnalysisCtx::symFor(unsigned VarId) const {
-  SymRegistry &R = SymRegistry::get();
-  std::lock_guard<std::mutex> Lock(R.M);
-  auto It = R.VarSyms.find(VarId);
-  if (It == R.VarSyms.end())
+  auto It = VarSyms.find(VarId);
+  if (It == VarSyms.end())
     return std::nullopt;
   return It->second;
 }
 
 TermRef AnalysisCtx::strideValue(ir::Sym Buffer, unsigned Dim) {
-  SymRegistry &R = SymRegistry::get();
-  std::lock_guard<std::mutex> Lock(R.M);
   auto Key = std::make_pair(Buffer, Dim);
-  auto It = R.Strides.find(Key);
-  if (It != R.Strides.end())
+  auto It = Strides.find(Key);
+  if (It != Strides.end())
     return It->second;
   TermRef V = mkVar(freshVar(Buffer.name() + "_stride" + std::to_string(Dim),
                              Sort::Int));
-  R.Strides.emplace(Key, V);
-  R.StrideSyms.emplace(V->var().Id, Key);
+  Strides.emplace(Key, V);
+  StrideSyms.emplace(V->var().Id, Key);
   return V;
 }
 
 std::optional<std::pair<ir::Sym, unsigned>>
 AnalysisCtx::strideFor(unsigned VarId) const {
-  SymRegistry &R = SymRegistry::get();
-  std::lock_guard<std::mutex> Lock(R.M);
-  auto It = R.StrideSyms.find(VarId);
-  if (It == R.StrideSyms.end())
+  auto It = StrideSyms.find(VarId);
+  if (It == StrideSyms.end())
     return std::nullopt;
   return It->second;
+}
+
+TermVar AnalysisCtx::loopVar(const ir::StmtRef &For) {
+  assert(For->kind() == ir::StmtKind::For && "not a For statement");
+  auto It = LoopVars.find(For.get());
+  if (It != LoopVars.end())
+    return It->second.second;
+  TermVar V = freshVar(For->name().name(), Sort::Int);
+  LoopVars.emplace(For.get(), std::make_pair(For, V));
+  return V;
 }
 
 EffInt AnalysisCtx::unknownInt() {

@@ -17,7 +17,8 @@
 ///
 /// AnalysisCtx owns the mapping from IR symbols to solver variables and
 /// performs Lift : Expr → EffExpr (appendix C) under an effect
-/// environment γ (Def 5.2).
+/// environment γ (Def 5.2). Nothing in the analysis outlives its context:
+/// two contexts share no solver variable and no state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 
 #include "ir/Config.h"
 #include "ir/Expr.h"
+#include "ir/Stmt.h"
 #include "smt/Solver.h"
 
 #include <map>
@@ -73,11 +75,11 @@ TriBool triEq(const EffInt &A, const EffInt &B);
 /// default to "the variable itself".
 using EffEnv = std::map<ir::Sym, EffInt>;
 
-/// Shared state for one analysis session. One AnalysisCtx spans one
-/// scheduling operation's worth of queries; the Sym → solver-var mapping
-/// and the uninterpreted stride values live in a process-wide registry so
-/// that every context agrees on them (harmless, since ir::Sym ids are
-/// globally unique).
+/// The state of one analysis session. One AnalysisCtx spans one
+/// scheduling operation's worth of queries and owns the solver variables
+/// they are posed over: the Sym → variable mapping, the uninterpreted
+/// stride values and the per-loop iteration variables. A context is used
+/// by one thread at a time, so none of this is locked.
 class AnalysisCtx {
 public:
   AnalysisCtx() = default;
@@ -95,6 +97,12 @@ public:
 
   /// A stable uninterpreted value for stride(buffer, dim).
   smt::TermRef strideValue(ir::Sym Buffer, unsigned Dim);
+
+  /// The iteration variable of a For statement. Stable across extractions
+  /// of the same node within this context (an alpha choice that keeps
+  /// summaries, and the queries posed over them, reproducible); distinct
+  /// nodes get distinct variables even when they share an iterator Sym.
+  smt::TermVar loopVar(const ir::StmtRef &For);
 
   /// A fresh unknown integer (⊥ of sort int).
   EffInt unknownInt();
@@ -117,6 +125,14 @@ public:
 
 private:
   smt::Solver TheSolver;
+  std::unordered_map<ir::Sym, smt::TermVar> Vars;
+  std::unordered_map<unsigned, ir::Sym> VarSyms;
+  std::map<std::pair<ir::Sym, unsigned>, smt::TermRef> Strides;
+  std::unordered_map<unsigned, std::pair<ir::Sym, unsigned>> StrideSyms;
+  /// Keyed by node; the StmtRef pins the node so its address cannot be
+  /// reused while the context lives.
+  std::unordered_map<const ir::Stmt *, std::pair<ir::StmtRef, smt::TermVar>>
+      LoopVars;
 };
 
 } // namespace analysis

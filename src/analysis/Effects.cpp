@@ -6,8 +6,6 @@
 
 #include "analysis/Effects.h"
 
-#include "analysis/EffectCache.h"
-
 using namespace exo;
 using namespace exo::analysis;
 using namespace exo::ir;
@@ -177,10 +175,11 @@ EffectSets exo::analysis::extractStmt(AnalysisCtx &Ctx, FlowState &State,
     FlowState BodyState = State;
     havocKeys(Ctx, BodyState.Env, Changed);
 
-    // Pinned per-statement iteration variable (an alpha choice): the same
-    // For node always quantifies over the same variable, which is what
-    // makes its summaries, and the queries posed over them, reproducible.
-    smt::TermVar X = stableLoopVar(S);
+    // Per-node iteration variable (an alpha choice): within one context
+    // the same For node always quantifies over the same variable, which is
+    // what makes its summaries, and the queries posed over them,
+    // reproducible.
+    smt::TermVar X = Ctx.loopVar(S);
     BodyState.Env[S->name()] = EffInt::known(smt::mkVar(X));
     EffectSets BodyEff = extractBlock(Ctx, BodyState, S->body());
     TriBool InBounds =

@@ -15,7 +15,7 @@ using namespace exo::analysis;
 using namespace exo::smt;
 
 LocSetRef LocSet::empty() {
-  static LocSetRef E = std::make_shared<LocSet>(Kind::Empty);
+  static const LocSetRef E = std::make_shared<LocSet>(Kind::Empty);
   return E;
 }
 

@@ -36,12 +36,11 @@
 
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
+#include "smt/Term.h"
 #include "support/FaultInjector.h"
 #include "support/StringExtras.h"
 #include "support/ThreadPool.h"
 #include "testing/Fuzzer.h"
-
-#include "analysis/EffectCache.h"
 
 #include <cstdio>
 #include <cstring>
@@ -52,11 +51,6 @@ using namespace exo;
 using namespace exo::driver;
 
 namespace {
-
-void clearAllCaches() {
-  smt::clearTermInterner();
-  analysis::clearEffectCache();
-}
 
 /// --fuzz N: replace the kernel suite with N randomly generated,
 /// randomly scheduled procedures (testing::fuzzCompileJob) and push them
@@ -268,13 +262,13 @@ int main(int Argc, char **Argv) {
 
   BatchResult Serial;
   if (SerialCheck) {
-    clearAllCaches();
+    smt::clearTermInterner();
     Serial = BatchDriver(1, SOpts).run(Jobs);
     std::printf("== serial baseline ==\n");
     printResult(Serial);
   }
 
-  clearAllCaches();
+  smt::clearTermInterner();
   BatchResult Parallel = BatchDriver(Threads, SOpts).run(Jobs);
   if (SerialCheck)
     std::printf("== %u threads ==\n", Threads);

@@ -8,9 +8,10 @@
 /// A CompileSession runs one CompileJob — build the scheduled procedures
 /// (parse + schedule), then generate C — and reports a structured
 /// JobResult instead of throwing or aborting. Sessions are safe to run
-/// concurrently on different threads: the process-wide caches they share
-/// (term interner, statement-record table, Sym table, registries) are
-/// individually synchronized, and per-session solver options are installed
+/// concurrently on different threads: the process-wide tables they share
+/// (term interner, Sym name table, registries) are individually
+/// synchronized, each scheduling op's analysis owns its solver variables
+/// (analysis::AnalysisCtx), and per-session solver options are installed
 /// thread-locally for the duration of the job. See DESIGN.md, "Threading
 /// model".
 ///

@@ -291,6 +291,7 @@ int main(int argc, char **argv) {
   if (!ReplayPath.empty()) {
     // Replay mode: score exactly one trace, no search. The report keeps
     // the same shape so the JSON consumers don't care which mode ran.
+    RunMeter Meter;
     auto Trace = readTrace(ReplayPath);
     if (!Trace) {
       std::fprintf(stderr, "exocc-tune: %s\n", Trace.error().str().c_str());
@@ -322,6 +323,7 @@ int main(int argc, char **argv) {
     R.Ok = R.Best.Eval.Ok;
     R.Stats.Tried = 1;
     R.Stats.Ok = R.Ok ? 1 : 0;
+    Meter.finish(R.Stats);
     if (!R.Ok)
       R.Error = R.Best.Eval.FailStage + ": " + R.Best.Eval.Detail;
   } else {

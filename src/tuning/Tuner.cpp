@@ -74,6 +74,25 @@ bool betterThan(const Candidate &A, const Candidate &B) {
 
 } // namespace
 
+RunMeter::RunMeter() : T0(support::nowMillisPrecise()) {
+  backend::JitBackend::CacheStats Jit = backend::JitBackend::cacheStats();
+  Compiles0 = Jit.Compiles;
+  Hits0 = Jit.Hits;
+}
+
+double RunMeter::elapsedMillis() const {
+  return support::nowMillisPrecise() - T0;
+}
+
+void RunMeter::finish(TuneStats &S) const {
+  backend::JitBackend::CacheStats Jit1 = backend::JitBackend::cacheStats();
+  S.JitCompiles = Jit1.Compiles - Compiles0;
+  S.JitHits = Jit1.Hits - Hits0;
+  S.WallMillis = elapsedMillis();
+  S.CandidatesPerSec =
+      S.WallMillis > 0 ? 1000.0 * (double)S.Tried / S.WallMillis : 0;
+}
+
 TuneResult exo::tuning::tune(const TuneOptions &O) {
   TuneResult Out;
   auto Space = buildSearchSpace(O.Kernel, O.Shape);
@@ -87,8 +106,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
   }
 
   ++GRunsStarted;
-  double T0 = support::nowMillisPrecise();
-  backend::JitBackend::CacheStats Jit0 = backend::JitBackend::cacheStats();
+  RunMeter Meter;
 
   CostModel CM(O.Shape, O.Score);
   support::ThreadPool Pool(O.Threads == 0
@@ -174,7 +192,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
     if (O.MaxCandidates && Out.Stats.Tried >= O.MaxCandidates)
       break;
     if (O.DeadlineMillis &&
-        support::nowMillisPrecise() - T0 >= (double)O.DeadlineMillis)
+        Meter.elapsedMillis() >= (double)O.DeadlineMillis)
       break;
 
     // Children: mutants of survivors, crossovers between survivors, and
@@ -207,14 +225,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
     }
   }
 
-  backend::JitBackend::CacheStats Jit1 = backend::JitBackend::cacheStats();
-  Out.Stats.JitCompiles = Jit1.Compiles - Jit0.Compiles;
-  Out.Stats.JitHits = Jit1.Hits - Jit0.Hits;
-  Out.Stats.WallMillis = support::nowMillisPrecise() - T0;
-  Out.Stats.CandidatesPerSec =
-      Out.Stats.WallMillis > 0
-          ? 1000.0 * (double)Out.Stats.Tried / Out.Stats.WallMillis
-          : 0;
+  Meter.finish(Out.Stats);
   Out.Ok = HaveBest;
   if (!HaveBest)
     Out.Error = "no candidate executed and verified";

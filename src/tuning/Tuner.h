@@ -68,6 +68,20 @@ struct TuneStats {
   uint64_t JitCompiles = 0, JitHits = 0;
 };
 
+/// The clock and JIT-cache counters at the start of a run. finish()
+/// fills a TuneStats' WallMillis, CandidatesPerSec and JIT deltas once its
+/// Tried count is final; tune() and `exocc-tune --replay` both use it.
+class RunMeter {
+public:
+  RunMeter();
+  double elapsedMillis() const;
+  void finish(TuneStats &S) const;
+
+private:
+  double T0;
+  uint64_t Compiles0, Hits0;
+};
+
 struct GenerationEntry {
   unsigned Gen = 0;
   double BestScore = 0; ///< best score seen so far, after this generation

@@ -15,7 +15,6 @@
 #include "driver/BatchDriver.h"
 #include "driver/KernelSuite.h"
 
-#include "analysis/EffectCache.h"
 #include "frontend/Parser.h"
 #include "scheduling/Schedule.h"
 #include "smt/Simplify.h"
@@ -234,9 +233,8 @@ TEST(BatchDriverTest, DrainCompletesEveryJobExactlyOnceUnderWatchdog) {
 TEST(BatchDriverTest, SecondCompileOfSameKernelHitsAcrossJobs) {
   // Compiling the same kernel twice in one process must give the same C:
   // the second compile parses fresh IR (new Syms, new VarIds) and runs
-  // after the first has left the process-wide tables warm, which is what
-  // exocc-serve and exocc-tune do on every request and candidate.
-  analysis::clearEffectCache();
+  // after the first has left the process-wide term interner warm, which is
+  // what exocc-serve and exocc-tune do on every request and candidate.
 
   std::vector<CompileJob> Suite = standardKernelSuite();
   std::vector<CompileJob> One;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Hammers every shared compiler structure — the sharded term interner,
-/// the striped solver query cache, the statement-record table, the symbol
-/// table, the thread pool itself, the autotuner's concurrent module
+/// the striped solver query cache, the symbol table, the thread pool
+/// itself, the autotuner's concurrent module
 /// builds and executions, and JIT modules split into translation units
 /// built side by side — from many threads at once, and asserts the
 /// results are bit-identical to a serial run. Built as its
@@ -18,7 +18,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "WideModule.h"
-#include "analysis/EffectCache.h"
 #include "analysis/Effects.h"
 #include "backend/Backend.h"
 #include "frontend/Parser.h"
@@ -119,7 +118,8 @@ smt::SolverResult tileQuery(int64_t Factor) {
 }
 
 TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
-  analysis::clearEffectCache();
+  // Each thread extracts in contexts of its own; they share no solver
+  // variables and no analysis state, only the term interner.
   ProcRef P = parseGemm();
 
   std::atomic<unsigned> Failures{0};
@@ -135,33 +135,10 @@ TEST(ConcurrencyTest, EffectCacheParallelExtraction) {
   EXPECT_EQ(Failures.load(), 0u);
 }
 
-TEST(ConcurrencyTest, LoopVarUnpinningRacesWithInserts) {
-  // Even threads pin fresh For nodes past the record cap, so shards flush
-  // and drop their pinned loop variables; odd threads extract fresh procs,
-  // pinning loop variables of their own. The pinned variables must stay
-  // within the cap of 1024 records.
-  analysis::clearEffectCache();
-  Sym Iter = Sym::fresh("t");
-  onThreads([&](unsigned T) {
-    if (T % 2 == 0) {
-      for (unsigned I = 0; I < 2500; ++I)
-        (void)analysis::stableLoopVar(Stmt::forStmt(
-            Iter, Expr::constInt(0), Expr::constInt(4), {Stmt::pass()}));
-      return;
-    }
-    for (unsigned R = 0; R < Reps / 4; ++R) {
-      analysis::AnalysisCtx Ctx;
-      analysis::FlowState FS;
-      (void)analysis::extractBlock(Ctx, FS, parseGemm()->body());
-    }
-  });
-  EXPECT_LE(analysis::effectCacheStats().LoopVars, 1024u);
-}
-
 TEST(ConcurrencyTest, ParallelSchedulingEmitsBitIdenticalC) {
   // The end-to-end determinism claim: compile the same schedule on every
   // thread — each from its own freshly parsed proc, all banging the same
-  // interner and statement-record table — and the generated C must be
+  // term interner — and the generated C must be
   // byte-for-byte the serial result.
   auto Compile = []() -> std::string {
     ProcRef P = parseGemm();

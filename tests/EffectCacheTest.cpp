@@ -1,19 +1,20 @@
-//===- tests/EffectCacheTest.cpp - Statement-record table tests -*- C++ -*-===//
+//===- tests/EffectCacheTest.cpp - Extraction determinism tests -*- C++ -*-===//
 //
 // Part of ExoCC, a C++ reimplementation of the Exo exocompiler (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the per-statement record table (analysis/EffectCache.h) and
-/// the extraction built on it: an extraction with the table warm must be
-/// semantically identical to one from a cleared table, summaries must
+/// Tests that effect extraction is a function of the statement and the
+/// flow state alone: a repeated extraction, in a fresh AnalysisCtx or on
+/// another thread, is semantically identical to the first, summaries
 /// follow rewrites (a scheduling operator produces new statement nodes),
-/// and the table must stay within its cap however many nodes it sees.
+/// and each AnalysisCtx owns the solver variables it poses queries over.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/EffectCache.h"
+#include "analysis/Dataflow.h"
+#include "analysis/Effects.h"
 
 #include "CursorAt.h"
 #include "frontend/Parser.h"
@@ -66,12 +67,12 @@ std::vector<std::vector<int64_t>> probePoints(unsigned Rank) {
 
 /// Semantic equality of two location sets: membership (both the M and the
 /// D bound) coincides for every base at every probe point. This is the
-/// right notion here because warm and cold summaries may differ
-/// structurally (e.g. alpha-renamed loop variables) while denoting the
-/// same sets. Probing at *concrete* points keeps each membership query
-/// closed — a fully symbolic iff of two nested existential towers prenexes
-/// into a ∀∃ alternation that exceeds the in-tree Cooper budget, whereas
-/// closed queries are always decided.
+/// right notion here because summaries from different contexts may differ
+/// structurally (each context mints its own loop variables) while
+/// denoting the same sets. Probing at *concrete* points keeps each
+/// membership query closed — a fully symbolic iff of two nested
+/// existential towers prenexes into a ∀∃ alternation that exceeds the
+/// in-tree Cooper budget, whereas closed queries are always decided.
 bool setsEqual(AnalysisCtx &Ctx, const LocSetRef &A, const LocSetRef &B) {
   std::map<Sym, unsigned> Bases;
   A->collectBases(Bases);
@@ -107,7 +108,6 @@ EffectSets extractProc(const ProcRef &P) {
 }
 
 TEST(EffectCacheTest, WarmExtractionMatchesCold) {
-  clearEffectCache();
   ProcRef P = parse(GemmSrc);
 
   EffectSets ColdEff = extractProc(P);
@@ -118,21 +118,17 @@ TEST(EffectCacheTest, WarmExtractionMatchesCold) {
 }
 
 TEST(EffectCacheTest, RewritesInvalidateByConstruction) {
-  // Prime the cache on the original proc, transform it, and check that the
-  // warm extraction of the transformed proc equals a fully-cold
-  // recomputation — i.e. no stale summary of the original shape leaks into
-  // the rewritten one.
-  clearEffectCache();
+  // Extract the original proc, transform it, and check that extracting
+  // the transformed proc after it equals a second, independent extraction
+  // — i.e. nothing of the original shape leaks into the rewritten one.
   ProcRef P = parse(GemmSrc);
-  (void)extractProc(P); // prime with the original proc's summaries
+  (void)extractProc(P);
 
   ProcRef Q = *splitLoop(at(P, "for i in _: _"), 8, "io", "ii",
                          SplitTail::Perfect);
   Q = *reorderLoops(at(Q, "for j in _: _"));
 
   EffectSets WarmEff = extractProc(Q);
-
-  clearEffectCache();
   EffectSets FreshEff = extractProc(Q);
 
   AnalysisCtx Ctx;
@@ -171,7 +167,6 @@ TEST(EffectCacheTest, ConfigWritesAreUncacheable) {
   // A subtree containing a WriteConfig mutates the flow state, so its
   // summary depends on the state it is extracted under; extracting the
   // same proc twice must still give the same effects.
-  clearEffectCache();
   ProcRef P = parseConfigSetter();
   EffectSets First = extractProc(P);
   EffectSets Second = extractProc(P);
@@ -179,58 +174,10 @@ TEST(EffectCacheTest, ConfigWritesAreUncacheable) {
   EXPECT_TRUE(effectsEqual(Ctx, First, Second));
 }
 
-TEST(EffectCacheTest, UncacheableStatementsStayWithinTheTableCap) {
-  // Every statement the invariance memo looks at gets a record that pins
-  // its node. A stream of fresh config writes (never state-invariant) must
-  // still leave the table within its cap of 1024 records.
-  clearEffectCache();
-  frontend::ParseEnv Env;
-  auto M = frontend::parseModule(R"(
-@config
-class BoundCfg:
-    s : stride
-)",
-                                 Env);
-  ASSERT_TRUE(bool(M)) << M.error().str();
-  std::string Src = "@proc\ndef writes(x: R[8, 8]):\n";
-  for (unsigned I = 0; I < 64; ++I)
-    Src += "    BoundCfg.s = stride(x, 0)\n";
-  constexpr unsigned NumProcs = 160; // 10240 statements
-  for (unsigned I = 0; I < NumProcs; ++I) {
-    auto P = frontend::parseProc(Src, Env);
-    ASSERT_TRUE(bool(P)) << P.error().str();
-    (void)extractProc(*P);
-    for (const StmtRef &St : (*P)->body())
-      EXPECT_FALSE(isStateInvariant(St));
-  }
-  EffectCacheStats S = effectCacheStats();
-  EXPECT_GT(S.Evictions, 0u);
-  EXPECT_LE(S.Size, 1024u);
-}
-
-TEST(EffectCacheTest, PinnedLoopVarsStayWithinTheTableCap) {
-  // Each For node analyzed pins one stable loop variable. A daemon sees
-  // an unbounded stream of fresh nodes; the set of pinned ids must be
-  // flushed with the records that pinned them, so it stays within the
-  // record cap of 1024.
-  clearEffectCache();
-  Sym Iter = Sym::fresh("i");
-  for (unsigned I = 0; I < 9000; ++I)
-    (void)stableLoopVar(Stmt::forStmt(Iter, Expr::constInt(0),
-                                      Expr::constInt(4), {Stmt::pass()}));
-  EffectCacheStats S = effectCacheStats();
-  EXPECT_GT(S.Evictions, 0u);
-  EXPECT_LE(S.Size, 1024u);
-  EXPECT_LE(S.LoopVars, 1024u);
-  clearEffectCache();
-  EXPECT_EQ(effectCacheStats().LoopVars, 0u);
-}
-
 TEST(EffectCacheTest, ParallelWarmExtractionsMatchCold) {
-  // N threads extract the same proc concurrently through the shared
-  // sharded cache; every thread's summary must be semantically identical
-  // to a from-scratch serial extraction.
-  clearEffectCache();
+  // N threads extract the same proc concurrently, each in its own
+  // contexts; every thread's summary must be semantically identical to a
+  // serial extraction.
   ProcRef P = parse(GemmSrc);
   EffectSets ColdEff = extractProc(P);
 
@@ -256,6 +203,50 @@ TEST(EffectCacheTest, StateInvariancePredicate) {
   ProcRef W = parseConfigSetter();
   EXPECT_FALSE(isStateInvariant(W->body()[0]));
   EXPECT_TRUE(isStateInvariant(W->body()[1]));
+}
+
+TEST(AnalysisCtxTest, SameForNodeKeepsItsLoopVar) {
+  ProcRef P = parse(GemmSrc);
+  const StmtRef &For = P->body()[0];
+  AnalysisCtx Ctx;
+  smt::TermVar X = Ctx.loopVar(For);
+  FlowState State;
+  (void)extractBlock(Ctx, State, P->body());
+  EXPECT_EQ(Ctx.loopVar(For).Id, X.Id);
+}
+
+TEST(AnalysisCtxTest, ForNodesSharingAnIteratorGetDistinctLoopVars) {
+  // A rewrite rebuilds a loop under its old iterator Sym: after reorder,
+  // the old i-loop and the new one are two nodes binding one Sym, and a
+  // scheduling op's context may extract both. Each node quantifies over
+  // its own variable.
+  ProcRef P = parse(GemmSrc);
+  ProcRef Q = *reorderLoops(at(P, "for i in _: _"));
+  const StmtRef &Old = P->body()[0], &New = Q->body()[0]->body()[0];
+  ASSERT_EQ(Old->name(), New->name());
+  AnalysisCtx Ctx;
+  smt::TermVar XOld = Ctx.loopVar(Old);
+  FlowState State;
+  (void)extractBlock(Ctx, State, Q->body());
+  EXPECT_NE(Ctx.loopVar(New).Id, XOld.Id);
+  EXPECT_EQ(Ctx.loopVar(Old).Id, XOld.Id);
+}
+
+TEST(AnalysisCtxTest, ContextsShareNoSolverVariables) {
+  ProcRef P = parse(GemmSrc);
+  Sym Buf = P->args()[0].Name;
+  AnalysisCtx First, Second;
+  smt::TermVar V1 = First.varFor(Buf);
+  smt::TermRef S1 = First.strideValue(Buf, 0);
+  smt::TermVar L1 = First.loopVar(P->body()[0]);
+  ASSERT_EQ(First.symFor(V1.Id), Buf);
+  ASSERT_TRUE(First.strideFor(S1->var().Id));
+
+  EXPECT_NE(Second.varFor(Buf).Id, V1.Id);
+  EXPECT_NE(Second.strideValue(Buf, 0)->var().Id, S1->var().Id);
+  EXPECT_NE(Second.loopVar(P->body()[0]).Id, L1.Id);
+  EXPECT_FALSE(Second.symFor(V1.Id));
+  EXPECT_FALSE(Second.strideFor(S1->var().Id));
 }
 
 } // namespace
